@@ -223,7 +223,7 @@ class CampaignRunner:
     def run(self) -> CampaignSummary:
         from repro.campaign.scheduler import CampaignScheduler
 
-        started = time.time()
+        started = time.perf_counter()
         scheduler = CampaignScheduler(
             self.store, workers=self.workers, mp_context=self._ctx,
             progress=self._progress,
@@ -238,7 +238,7 @@ class CampaignRunner:
         summary = job.summary
         summary.processes_spawned = scheduler.processes_spawned
         summary.worker_runs = dict(scheduler.worker_runs)
-        summary.duration_s = time.time() - started
+        summary.duration_s = time.perf_counter() - started
         return summary
 
 
@@ -362,9 +362,9 @@ class ShardWorkerPool:
                 conn.send(None)
             except (BrokenPipeError, OSError):
                 pass
-        deadline = time.time() + _SHUTDOWN_GRACE_S
+        deadline = time.monotonic() + _SHUTDOWN_GRACE_S
         for process, _conn in self._slots:
-            process.join(timeout=max(0.0, deadline - time.time()))
+            process.join(timeout=max(0.0, deadline - time.monotonic()))
             if process.is_alive():
                 process.terminate()
                 process.join()

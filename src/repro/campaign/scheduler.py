@@ -288,7 +288,7 @@ class CampaignScheduler:
                     idle_since = None
                     self.step()
                     continue
-                now = time.time()
+                now = time.monotonic()
                 if idle_exit_s is not None:
                     if idle_since is None:
                         idle_since = now
@@ -357,7 +357,7 @@ class CampaignScheduler:
                 self._reap(slot)
                 self._queue.appendleft(task)
                 continue
-            now = time.time()
+            now = time.monotonic()
             slot.task = task
             slot.started_at = now
             slot.deadline = now + task.job.timeout_s
@@ -401,7 +401,7 @@ class CampaignScheduler:
             return {"status": "error",
                     "error": f"worker crashed "
                              f"(exit code {slot.process.exitcode})"}
-        if time.time() >= slot.deadline:
+        if time.monotonic() >= slot.deadline:
             slot.process.terminate()
             slot.process.join()
             return {"status": "error",
@@ -416,7 +416,7 @@ class CampaignScheduler:
         slot.task = None
         job = task.job
         summary = job.summary
-        duration = time.time() - slot.started_at
+        duration = time.monotonic() - slot.started_at
         descriptor = task.descriptor
         worker_key = str(slot.process.pid)
         if outcome.get("status") == "ok":
@@ -563,12 +563,12 @@ class CampaignScheduler:
                     slot.conn.send(None)
                 except (BrokenPipeError, OSError):
                     pass
-        deadline = time.time() + _SHUTDOWN_GRACE_S
+        deadline = time.monotonic() + _SHUTDOWN_GRACE_S
         for slot in slots:
             if slot.busy and slot.process.is_alive():
                 # Interrupted mid-run: don't leak the worker.
                 slot.process.terminate()
-            slot.process.join(timeout=max(0.0, deadline - time.time()))
+            slot.process.join(timeout=max(0.0, deadline - time.monotonic()))
             if slot.process.is_alive():
                 slot.process.terminate()
                 slot.process.join()

@@ -92,7 +92,7 @@ def _cmd_suppression(args: argparse.Namespace) -> int:
         print("-" * len(header))
     for controller in controllers:
         for attacked in (False, True):
-            started = time.time()
+            started = time.perf_counter()
             tracer = _make_collector(bool(args.trace))
             result = run_suppression_experiment(controller, attacked,
                                                 seed=args.seed, trace=tracer,
@@ -109,7 +109,7 @@ def _cmd_suppression(args: argparse.Namespace) -> int:
                     "suppression",
                     "flow-mod-suppression" if attacked else "passthrough",
                     controller, "secure", args.seed, config,
-                    result.record(), time.time() - started,
+                    result.record(), time.perf_counter() - started,
                     trace=trace_info,
                 )
                 continue
@@ -130,7 +130,7 @@ def _cmd_interruption(args: argparse.Namespace) -> int:
     controllers = CONTROLLERS if args.controller == "all" else (args.controller,)
     for controller in controllers:
         for mode in (FailMode.STANDALONE, FailMode.SECURE):
-            started = time.time()
+            started = time.perf_counter()
             tracer = _make_collector(bool(args.trace))
             result = run_interruption_experiment(controller, mode,
                                                  seed=args.seed, trace=tracer)
@@ -141,7 +141,7 @@ def _cmd_interruption(args: argparse.Namespace) -> int:
                 _print_run_record(
                     "interruption", "connection-interruption", controller,
                     mode.value, args.seed, {}, result.record(),
-                    time.time() - started,
+                    time.perf_counter() - started,
                     trace=trace_info,
                 )
                 continue
@@ -164,10 +164,10 @@ def _cmd_compliance(args: argparse.Namespace) -> int:
     from repro.experiments.compliance import run_cell, run_compliance_suite
 
     if args.json:
-        started = time.time()
+        started = time.perf_counter()
         metrics = run_cell()
         _print_run_record("compliance", None, "none", "secure", 0, {},
-                          metrics, time.time() - started)
+                          metrics, time.perf_counter() - started)
         return 0 if metrics["all_passed"] else 1
     report = run_compliance_suite()
     print(report.render())
@@ -219,7 +219,7 @@ def _cmd_fabric_run(args: argparse.Namespace) -> int:
         kwargs["packets"] = args.packets
     if args.horizon is not None:
         kwargs["horizon_s"] = args.horizon
-    started = time.time()
+    started = time.perf_counter()
     result = run_fabric_experiment(
         topology=args.name,
         controller=None if args.controller == "none" else args.controller,
@@ -245,7 +245,7 @@ def _cmd_fabric_run(args: argparse.Namespace) -> int:
         _print_run_record("fabric", args.attack,
                           args.controller, args.fail_mode, args.seed,
                           {"topology": args.name, "shards": args.shards},
-                          metrics, time.time() - started)
+                          metrics, time.perf_counter() - started)
         return 0
     print(f"{result.fabric}: {result.switches} switches / {result.hosts} hosts "
           f"in {result.regions} regions on {result.shards} shard(s)")
@@ -312,7 +312,7 @@ def _cmd_workload_run(args: argparse.Namespace) -> int:
         workload_params["keys"] = args.keys
     if args.spoof_macs is not None:
         workload_params["spoof_macs"] = args.spoof_macs
-    started = time.time()
+    started = time.perf_counter()
     result = run_fabric_experiment(
         topology=args.topology,
         controller=None if args.controller == "none" else args.controller,
@@ -340,7 +340,7 @@ def _cmd_workload_run(args: argparse.Namespace) -> int:
                           args.controller, args.fail_mode, args.seed,
                           {"topology": args.topology, "workload": args.source,
                            "shards": args.shards},
-                          metrics, time.time() - started)
+                          metrics, time.perf_counter() - started)
         return 0
     print(f"{args.source} on {result.fabric}: {result.switches} switches / "
           f"{result.hosts} hosts on {result.shards} shard(s)")
@@ -406,7 +406,7 @@ def _cmd_detect_run(args: argparse.Namespace) -> int:
         detector_params["threshold_pps"] = args.threshold_pps
     if args.ratio is not None:
         detector_params["ratio"] = args.ratio
-    started = time.time()
+    started = time.perf_counter()
     result = run_fabric_experiment(
         topology=args.topology,
         controller=None if args.controller == "none" else args.controller,
@@ -428,7 +428,7 @@ def _cmd_detect_run(args: argparse.Namespace) -> int:
                            "workload": args.source,
                            "detectors": args.detectors,
                            "shards": args.shards},
-                          metrics, time.time() - started)
+                          metrics, time.perf_counter() - started)
         return 0
     print(f"{args.source} on {result.fabric}: {result.switches} switches / "
           f"{result.hosts} hosts on {result.shards} shard(s), "
@@ -649,7 +649,7 @@ def _cmd_campaign_watch(args: argparse.Namespace) -> int:
         from repro.campaign import open_store, stream_path_for
 
         tail_path = stream_path_for(open_store(path))
-    deadline = time.time() + args.timeout if args.timeout else None
+    deadline = time.monotonic() + args.timeout if args.timeout else None
     offset = 0
     if not args.from_start and tail_path.exists():
         offset = tail_path.stat().st_size
@@ -676,7 +676,7 @@ def _cmd_campaign_watch(args: argparse.Namespace) -> int:
                     seen += 1
                     if args.count and seen >= args.count:
                         return 0
-        if deadline is not None and time.time() >= deadline:
+        if deadline is not None and time.monotonic() >= deadline:
             return 1 if args.count and seen < args.count else 0
         time.sleep(0.1)
 

@@ -5,27 +5,38 @@ highest-priority matching entry wins; exact ties resolve to the
 earliest-installed entry; idle and hard timeouts expire entries and can emit
 FLOW_REMOVED notifications.
 
-Lookup structure: fully-specified entries (all twelve match fields set,
+Write index: OF 1.0 allows one entry per ``(priority, packed match)`` —
+an ADD with the same pair replaces the installed entry — so the entries
+live in one insertion-ordered dict keyed by that pair (``strict_key``,
+computed once when the entry is built).  ADD-replace, MODIFY_STRICT and
+DELETE_STRICT are dict probes, the FIFO eviction victim is the dict's
+first item, and ``entries`` lists the table in install order.
+
+Lookup index: fully-specified entries (all twelve match fields set,
 /32 network prefixes — the shape every learning controller installs from
 ``Match.from_packet``) live in a hash index keyed by the twelve-tuple;
 everything else sits in a wildcard list kept sorted by descending priority.
 A lookup probes the hash bucket, then scans the sorted wildcards only until
 no remaining entry could outrank the best candidate — O(1) + O(w) instead
-of O(n) over the whole table.  ``indexed=False`` restores the linear scan
-(benchmark baseline); ``lookup_fast_hits`` counts lookups won from the
-hash bucket.
+of O(n) over the whole table.  ``lookup_fast_hits`` counts lookups won
+from the hash bucket.
+
+Installed matches must not be mutated: both indexes key on them.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import insort
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.openflow.actions import Action
 from repro.openflow.constants import FlowModCommand, FlowModFlags, Port
 from repro.openflow.match import MATCH_FIELD_NAMES, Match, field_tuple
 from repro.openflow.messages import FlowMod
+
+#: ``(priority, Match.pack())`` — the identity strict flow-mods compare.
+StrictKey = Tuple[int, bytes]
 
 
 class FlowEntry:
@@ -46,6 +57,8 @@ class FlowEntry:
         "packet_count",
         "byte_count",
         "order",
+        "strict_key",
+        "exact_key",
     )
 
     def __init__(
@@ -71,6 +84,8 @@ class FlowEntry:
         self.packet_count = 0
         self.byte_count = 0
         self.order = next(FlowEntry._order)
+        self.strict_key: StrictKey = (priority, match.pack())
+        self.exact_key = _exact_key(match)
 
     @property
     def sends_flow_removed(self) -> bool:
@@ -136,30 +151,30 @@ EVICTION_POLICIES = ("refuse", "lru", "fifo")
 class FlowTable:
     """A single OF 1.0 flow table (OVS v1.9 exposed one to OpenFlow 1.0)."""
 
-    def __init__(
-        self,
-        max_entries: int = 65536,
-        indexed: bool = True,
-        eviction: str = "refuse",
-    ) -> None:
+    def __init__(self, max_entries: int = 65536, eviction: str = "refuse") -> None:
         if eviction not in EVICTION_POLICIES:
             raise ValueError(
                 f"unknown eviction policy {eviction!r}; choose from {EVICTION_POLICIES}"
             )
         self.max_entries = max_entries
         self.eviction = eviction
-        self.entries: List[FlowEntry] = []
-        self.indexed = indexed
         self.lookups = 0
         self.matched = 0
         self.lookup_fast_hits = 0
         self.capacity_evictions = 0
         self.occupancy_peak = 0
+        # The strict index doubles as the install-ordered entry store.
+        self._strict: Dict[StrictKey, FlowEntry] = {}
         self._exact: Dict[Tuple[Any, ...], List[FlowEntry]] = {}
         self._wild: List[FlowEntry] = []
 
+    @property
+    def entries(self) -> List[FlowEntry]:
+        """The installed entries in install order (a fresh list)."""
+        return list(self._strict.values())
+
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._strict)
 
     def reset_stats(self) -> None:
         """Zero the cumulative counters (``occupancy_peak``,
@@ -181,34 +196,29 @@ class FlowTable:
     # Index maintenance
     # ------------------------------------------------------------------ #
 
-    def _index_add(self, entry: FlowEntry) -> None:
-        key = _exact_key(entry.match)
+    def _install(self, entry: FlowEntry) -> None:
+        self._strict[entry.strict_key] = entry
+        key = entry.exact_key
         if key is not None:
             self._exact.setdefault(key, []).append(entry)
         else:
             insort(self._wild, entry, key=_wild_sort_key)
 
-    def _index_remove(self, entry: FlowEntry) -> None:
-        key = _exact_key(entry.match)
-        if key is not None:
-            bucket = self._exact.get(key)
-            if bucket is not None:
-                bucket.remove(entry)
-                if not bucket:
-                    del self._exact[key]
-        else:
-            self._wild.remove(entry)
-
-    def _rebuild_index(self) -> None:
-        self._exact.clear()
-        self._wild.clear()
-        for entry in self.entries:
-            key = _exact_key(entry.match)
-            if key is not None:
-                self._exact.setdefault(key, []).append(entry)
-            else:
-                self._wild.append(entry)
-        self._wild.sort(key=_wild_sort_key)
+    def _discard(self, removed: Iterable[FlowEntry]) -> None:
+        """Drop installed entries from every index."""
+        wild_gone = set()
+        for entry in removed:
+            del self._strict[entry.strict_key]
+            key = entry.exact_key
+            if key is None:
+                wild_gone.add(entry)
+                continue
+            bucket = self._exact[key]
+            bucket.remove(entry)
+            if not bucket:
+                del self._exact[key]
+        if wild_gone:
+            self._wild = [entry for entry in self._wild if entry not in wild_gone]
 
     # ------------------------------------------------------------------ #
     # Flow-mod application
@@ -233,25 +243,6 @@ class FlowTable:
         raise ValueError(f"unsupported flow-mod command {command!r}")
 
     def _add(self, flow_mod: FlowMod, now: float) -> Tuple[List[FlowEntry], bool]:
-        # OF 1.0: ADD with an identical match+priority replaces the entry.
-        replaced = [
-            entry
-            for entry in self.entries
-            if entry.priority == flow_mod.priority
-            and entry.match.is_strict_equal(flow_mod.match)
-        ]
-        for entry in replaced:
-            self.entries.remove(entry)
-            self._index_remove(entry)
-        evicted: List[FlowEntry] = []
-        while len(self.entries) >= self.max_entries:
-            victim = self._eviction_victim()
-            if victim is None:
-                return [], True
-            self.entries.remove(victim)
-            self._index_remove(victim)
-            self.capacity_evictions += 1
-            evicted.append(victim)
         entry = FlowEntry(
             flow_mod.match,
             flow_mod.priority,
@@ -262,10 +253,21 @@ class FlowTable:
             flags=flow_mod.flags,
             install_time=now,
         )
-        self.entries.append(entry)
-        self._index_add(entry)
-        if len(self.entries) > self.occupancy_peak:
-            self.occupancy_peak = len(self.entries)
+        # OF 1.0: ADD with an identical match+priority replaces the entry.
+        replaced = self._strict.get(entry.strict_key)
+        if replaced is not None:
+            self._discard((replaced,))
+        evicted: List[FlowEntry] = []
+        while len(self._strict) >= self.max_entries:
+            victim = self._eviction_victim()
+            if victim is None:
+                return [], True
+            self._discard((victim,))
+            self.capacity_evictions += 1
+            evicted.append(victim)
+        self._install(entry)
+        if len(self._strict) > self.occupancy_peak:
+            self.occupancy_peak = len(self._strict)
         return evicted, False
 
     def _eviction_victim(self) -> Optional[FlowEntry]:
@@ -275,43 +277,41 @@ class FlowTable:
         use); FIFO the earliest-installed.  Ties break on install order,
         so the choice is deterministic for a deterministic workload.
         """
-        if self.eviction == "refuse" or not self.entries:
+        if self.eviction == "refuse" or not self._strict:
             return None
         if self.eviction == "lru":
-            return min(self.entries, key=lambda e: (e.last_used, e.order))
-        return min(self.entries, key=lambda e: e.order)
+            return min(self._strict.values(), key=lambda e: (e.last_used, e.order))
+        return next(iter(self._strict.values()))
 
     def _modify(self, flow_mod: FlowMod, now: float, strict: bool) -> Tuple[List[FlowEntry], bool]:
         # Only actions/cookie change — match and priority stay, so the
-        # index needs no maintenance here.
-        changed = False
-        for entry in self.entries:
-            if self._mod_applies(flow_mod.match, flow_mod.priority, entry, strict):
-                entry.actions = list(flow_mod.actions)
-                entry.cookie = flow_mod.cookie
-                changed = True
-        if not changed:
+        # indexes need no maintenance here.
+        targets = self._targets(flow_mod, strict)
+        if not targets:
             return self._add(flow_mod, now)
+        for entry in targets:
+            entry.actions = list(flow_mod.actions)
+            entry.cookie = flow_mod.cookie
         return [], False
 
     def _delete(self, flow_mod: FlowMod, strict: bool) -> Tuple[List[FlowEntry], bool]:
-        removed: List[FlowEntry] = []
-        kept: List[FlowEntry] = []
-        for entry in self.entries:
-            matches = self._mod_applies(flow_mod.match, flow_mod.priority, entry, strict)
-            if matches and flow_mod.out_port != Port.NONE:
-                matches = entry.outputs_to(flow_mod.out_port)
-            (removed if matches else kept).append(entry)
-        if removed:
-            self.entries = kept
-            self._rebuild_index()
+        removed = self._targets(flow_mod, strict)
+        if flow_mod.out_port != Port.NONE:
+            removed = [entry for entry in removed if entry.outputs_to(flow_mod.out_port)]
+        self._discard(removed)
         return removed, False
 
-    @staticmethod
-    def _mod_applies(match: Match, priority: int, entry: FlowEntry, strict: bool) -> bool:
+    def _targets(self, flow_mod: FlowMod, strict: bool) -> List[FlowEntry]:
+        """Entries a MODIFY/DELETE names, in install order.
+
+        Strict commands name the one entry with the same priority and
+        match; non-strict ones every entry the match subsumes.
+        """
         if strict:
-            return entry.priority == priority and entry.match.is_strict_equal(match)
-        return match.subsumes(entry.match)
+            entry = self._strict.get((flow_mod.priority, flow_mod.match.pack()))
+            return [] if entry is None else [entry]
+        match = flow_mod.match
+        return [entry for entry in self._strict.values() if match.subsumes(entry.match)]
 
     # ------------------------------------------------------------------ #
     # Lookup / expiry
@@ -320,11 +320,6 @@ class FlowTable:
     def lookup(self, fields: Dict[str, Any]) -> Optional[FlowEntry]:
         """Highest-priority entry matching extracted packet fields."""
         self.lookups += 1
-        if not self.indexed:
-            best = self._lookup_linear(fields)
-            if best is not None:
-                self.matched += 1
-            return best
         best: Optional[FlowEntry] = None
         bucket = self._exact.get(field_tuple(fields))
         if bucket:
@@ -347,36 +342,23 @@ class FlowTable:
                 self.lookup_fast_hits += 1
         return best
 
-    def _lookup_linear(self, fields: Dict[str, Any]) -> Optional[FlowEntry]:
-        """The unindexed O(n) scan (baseline for ``benchmarks/``)."""
-        best: Optional[FlowEntry] = None
-        for entry in self.entries:
-            if entry.match.matches_fields(fields):
-                if best is None or (entry.priority, -entry.order) > (best.priority, -best.order):
-                    best = entry
-        return best
-
     def expire(self, now: float) -> List[Tuple[FlowEntry, str]]:
         """Remove and return timed-out entries with their expiry reason."""
         expired: List[Tuple[FlowEntry, str]] = []
-        kept: List[FlowEntry] = []
-        for entry in self.entries:
+        for entry in self._strict.values():
             reason = entry.expired_reason(now)
-            if reason is None:
-                kept.append(entry)
-            else:
+            if reason is not None:
                 expired.append((entry, reason))
-        if expired:
-            self.entries = kept
-            self._rebuild_index()
+        self._discard(entry for entry, _ in expired)
         return expired
 
     def clear(self) -> List[FlowEntry]:
         """Remove all entries (connection reset semantics)."""
-        removed, self.entries = self.entries, []
+        removed = self.entries
+        self._strict.clear()
         self._exact.clear()
         self._wild.clear()
         return removed
 
     def __repr__(self) -> str:
-        return f"<FlowTable entries={len(self.entries)} lookups={self.lookups}>"
+        return f"<FlowTable entries={len(self)} lookups={self.lookups}>"

@@ -78,6 +78,29 @@ class TestCapacity:
         assert table.capacity_evictions == 0
         assert len(table) == 2
 
+    @pytest.mark.parametrize("match", [
+        exact_match(port=2000),
+        Match(in_port=1, tp_dst=80),
+        Match(dl_type=0x0800, nw_dst=Ipv4Address("10.0.1.0"), nw_dst_prefix=24),
+    ], ids=["exact", "wildcard", "nw_dst_prefix_24"])
+    def test_readd_on_full_lru_table_replaces_without_eviction(self, match):
+        table = FlowTable(max_entries=3, eviction="lru")
+        fill(table, 2, now=0.0)
+        add(table, match, now=1.0)
+        kept = table.entries[:2]
+        # Re-ADD the most recently used entry: an eviction would take the
+        # LRU entry (port 1000), a replacement takes nothing.
+        flow_mod = FlowMod(match, command=FlowModCommand.ADD,
+                           actions=[OutputAction(9)])
+        removed, full = table.apply_flow_mod(flow_mod, now=2.0)
+        assert (removed, full) == ([], False)
+        assert table.capacity_evictions == 0
+        assert table.occupancy_peak == 3
+        entries = table.entries
+        assert entries[:2] == kept
+        assert entries[2].match is match
+        assert entries[2].actions == [OutputAction(9)]
+
     def test_occupancy_peak_tracks_the_high_water_mark(self):
         table = FlowTable(max_entries=8, eviction="lru")
         fill(table, 5)

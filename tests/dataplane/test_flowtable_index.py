@@ -1,8 +1,8 @@
 """The flow table's exact-match hash index vs the linear scan.
 
-``FlowTable(indexed=True)`` (the default) must return exactly the entry the
-linear scan would, for every mix of fully-specified and wildcard entries,
-across adds, replacements, deletes, expiry, and clears.
+``FlowTable.lookup`` must return exactly the entry the linear scan oracle
+(``flowtable_oracle.linear_lookup``) would, for every mix of fully-specified
+and wildcard entries, across adds, replacements, deletes, expiry, and clears.
 """
 
 import pytest
@@ -15,6 +15,7 @@ from repro.openflow.match import OFP_VLAN_NONE, extract_packet_fields
 from repro.netlib.ethernet import EthernetFrame
 from repro.netlib.ipv4 import Ipv4Packet
 from repro.netlib.tcp import TcpSegment
+from tests.dataplane.flowtable_oracle import linear_lookup
 
 
 def exact_match(host_octet=2, port=80, in_port=1):
@@ -134,22 +135,18 @@ class TestIndexedLookup:
 
 
 class TestEquivalenceWithLinearScan:
-    def build_pair(self):
-        return FlowTable(indexed=True), FlowTable(indexed=False)
-
     def populated(self):
-        indexed, linear = self.build_pair()
-        for table in (indexed, linear):
-            # Mix of exact entries, overlapping wildcards, and priorities.
-            for octet in range(2, 10):
-                add(table, exact_match(octet), priority=100 + octet,
-                    out_port=octet)
-            add(table, Match(in_port=1), priority=50, out_port=20)
-            add(table, Match(tp_dst=80), priority=105, out_port=21)
-            add(table, Match(nw_dst=Ipv4Address("10.0.0.0"),
-                             nw_dst_prefix=24), priority=300, out_port=22)
-            add(table, Match.wildcard_all(), priority=1, out_port=23)
-        return indexed, linear
+        table = FlowTable()
+        # Mix of exact entries, overlapping wildcards, and priorities.
+        for octet in range(2, 10):
+            add(table, exact_match(octet), priority=100 + octet,
+                out_port=octet)
+        add(table, Match(in_port=1), priority=50, out_port=20)
+        add(table, Match(tp_dst=80), priority=105, out_port=21)
+        add(table, Match(nw_dst=Ipv4Address("10.0.0.0"),
+                         nw_dst_prefix=24), priority=300, out_port=22)
+        add(table, Match.wildcard_all(), priority=1, out_port=23)
+        return table
 
     def probes(self):
         probes = [fields_for(exact_match(octet)) for octet in range(2, 12)]
@@ -158,32 +155,24 @@ class TestEquivalenceWithLinearScan:
         probes.append(no_ip)
         return probes
 
-    def test_every_probe_agrees(self):
-        indexed, linear = self.populated()
+    def assert_agrees(self, table):
         for fields in self.probes():
-            fast = indexed.lookup(fields)
-            slow = linear.lookup(fields)
-            if slow is None:
-                assert fast is None
-            else:
-                assert fast is not None
-                # Entry orders are a process-global counter, so identify the
-                # winner by its (priority, output port) instead.
-                assert (fast.priority, fast.actions[0].port) == \
-                    (slow.priority, slow.actions[0].port)
+            assert table.lookup(fields) is linear_lookup(table.entries, fields)
+
+    def test_every_probe_agrees(self):
+        self.assert_agrees(self.populated())
 
     def test_agreement_survives_mutation(self):
-        indexed, linear = self.populated()
+        table = self.populated()
         delete = FlowMod(Match(in_port=1), command=FlowModCommand.DELETE)
-        for table in (indexed, linear):
-            table.apply_flow_mod(delete, now=0.0)
-        for fields in self.probes():
-            fast = indexed.lookup(fields)
-            slow = linear.lookup(fields)
-            assert (fast is None) == (slow is None)
-            if fast is not None:
-                assert (fast.priority, fast.actions[0].port) == \
-                    (slow.priority, slow.actions[0].port)
+        table.apply_flow_mod(delete, now=0.0)
+        self.assert_agrees(table)
+        add(table, Match(tp_dst=80), priority=105, out_port=24)  # replace
+        self.assert_agrees(table)
+        strict = FlowMod(Match.wildcard_all(), priority=1,
+                         command=FlowModCommand.DELETE_STRICT)
+        table.apply_flow_mod(strict, now=0.0)
+        self.assert_agrees(table)
 
 
 class TestPacketPathStillWorks:
