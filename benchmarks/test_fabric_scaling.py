@@ -20,10 +20,11 @@ Two throughput figures are reported side by side per shard count:
   genuinely removes work from the critical path or this number does not
   move.  Acceptance floors are asserted on capacity.
 
-The exchange A/B: the 4-shard run is repeated with
-``exchange_codec=False`` (batches pickled, the pre-fast-lane wire
-format) and the byte totals compared — the codec must move >= 5x fewer
-bytes for the same message stream.  The A/B is pinned at 4 shards
+The exchange A/B: the 4-shard run is repeated with the packed codec
+swapped for a pickling encoder/decoder pair (batches pickled, the
+pre-codec wire format), patched into ``repro.sim.shard`` before the
+pool forks so every worker inherits it, and the byte totals compared —
+the codec must move >= 5x fewer bytes for the same message stream.  The A/B is pinned at 4 shards
 because beyond that most directed worker pairs share no boundary link
 and the totals on both sides are dominated by the 16-byte barrier
 control words the two formats pay identically.
@@ -34,12 +35,14 @@ scale with ``--benchmark-json``.
 """
 
 import os
+import pickle
 
 import pytest
 
 from benchmarks.conftest import print_table
 from repro.campaign import reset_run_state
 from repro.experiments.fabric import run_fabric_experiment
+from repro.sim import shard
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0", "false")
 
@@ -69,10 +72,25 @@ def _run(shards, **kwargs):
     )
 
 
-def test_fabric_packets_per_sec_scaling(benchmark):
+class _PickleEncoder:
+    """The pre-codec wire format: one pickle over the batch's tuples."""
+
+    def encode(self, batch):
+        return pickle.dumps(batch, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+class _PickleDecoder:
+    def decode(self, blob):
+        return pickle.loads(blob)
+
+
+def test_fabric_packets_per_sec_scaling(benchmark, monkeypatch):
     def run_all():
         results = {shards: _run(shards) for shards in SHARD_COUNTS}
-        pickled = _run(A_B_SHARDS, exchange_codec=False)
+        with monkeypatch.context() as patch:
+            patch.setattr(shard, "BatchEncoder", _PickleEncoder)
+            patch.setattr(shard, "BatchDecoder", _PickleDecoder)
+            pickled = _run(A_B_SHARDS)
         return results, pickled
 
     results, pickled = benchmark.pedantic(run_all, rounds=1, iterations=1)

@@ -77,22 +77,15 @@ def reset_run_state() -> None:
     fastframe.reset_counters()
 
 
-#: Backwards-compatible private alias (pre-existing callers/tests).
-_reset_run_state = reset_run_state
-
-
-def _worker_loop(conn, peer_queues=None, peer_index=None,
-                 mesh_matrix=None) -> None:
+def _worker_loop(conn, peer_index: int = 0, mesh_matrix=None) -> None:
     """Persistent worker: execute descriptors until told to shut down.
 
     Two task shapes share the pipe: legacy ``(descriptor, attempt,
     trace_enabled)`` tuples run one campaign cell to completion, and
     ``{"op": "shard_*"}`` dicts drive a slice of a sharded simulation
-    (see :mod:`repro.sim.shard`).  ``mesh_matrix`` (inherited pipe fds,
-    fork start method only) gives shard workers a direct peer-to-peer
-    fast lane for the SPMD barrier loop; ``peer_queues`` (one queue per
-    pool worker, this worker reading ``peer_index``'s) is the fallback
-    exchange for epoch-stepped execution without a mesh.
+    (see :mod:`repro.sim.shard`).  ``mesh_matrix`` (inherited pipe fds)
+    connects shard worker ``peer_index`` to its peers for the SPMD
+    barrier loop.
     """
     from repro.campaign.executors import execute_descriptor
 
@@ -109,8 +102,7 @@ def _worker_loop(conn, peer_queues=None, peer_index=None,
             if shard_session is None:
                 from repro.sim.shard import ShardWorkerSession
 
-                shard_session = ShardWorkerSession(peer_queues, peer_index,
-                                                   mesh_matrix)
+                shard_session = ShardWorkerSession(peer_index, mesh_matrix)
             try:
                 reply = shard_session.handle(task)
             except BaseException:
@@ -122,7 +114,7 @@ def _worker_loop(conn, peer_queues=None, peer_index=None,
                 break
             continue
         descriptor, attempt, trace_enabled = task
-        _reset_run_state()
+        reset_run_state()
         tracer = None
         if trace_enabled:
             from repro.obs import TraceCollector
@@ -246,37 +238,30 @@ class ShardWorkerPool:
     """A fixed set of persistent workers executing simulation shards.
 
     Reuses the campaign ``_worker_loop`` processes but drives them with
-    ``shard_*`` dict tasks in lock-step: every worker runs its regions to
-    the same epoch barrier, exchanges cross-shard messages directly with
-    its peers over per-worker queues, and the loop repeats — the parent
-    only carries barrier control traffic, which keeps its per-epoch CPU
-    off the scaling-critical path.  Workers are plain (non-daemonic from
-    the pool's perspective only if the parent is the main process —
-    campaign workers are daemonic and cannot spawn children, so fabric
-    cells inside a campaign fall back to the inline executor).
+    ``shard_*`` dict tasks: :meth:`run_barrier` hands every worker the
+    whole barrier loop, and workers exchange cross-shard batches directly
+    over a pipe mesh.  The mesh's fds are inherited across ``fork``, so
+    the pool always forks, whatever the interpreter's default start
+    method.  Campaign workers are daemonic and cannot spawn children, so
+    fabric cells inside a campaign fall back to the inline executor.
     """
 
-    def __init__(self, workers: int, mp_context: Optional[str] = None) -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers!r}")
-        ctx = multiprocessing.get_context(mp_context)
+        ctx = multiprocessing.get_context("fork")
         self._slots: List[Tuple[multiprocessing.Process, object]] = []
-        # Full queues (not SimpleQueues): the feeder thread makes puts
-        # non-blocking, so a burst of large batches cannot deadlock two
-        # workers putting into each other's filled pipes.
-        self._queues = [ctx.Queue() for _ in range(workers)]
-        # The pipe mesh (fork only) must exist before any worker forks so
-        # every child inherits the full fd matrix; each worker closes the
-        # fds it does not own, and the parent closes its copies below.
+        # The pipe mesh must exist before any worker forks so every child
+        # inherits the full fd matrix; each worker closes the fds it does
+        # not own, and the parent closes its copies below.
         from repro.sim.mesh import close_mesh, create_mesh
 
-        mesh_matrix = create_mesh(workers, ctx.get_start_method())
-        self.has_mesh = mesh_matrix is not None
+        mesh_matrix = create_mesh(workers)
         for index in range(workers):
             parent_conn, child_conn = ctx.Pipe(duplex=True)
             process = ctx.Process(
                 target=_worker_loop,
-                args=(child_conn, self._queues, index, mesh_matrix),
+                args=(child_conn, index, mesh_matrix),
                 daemon=True,
             )
             process.start()
@@ -321,21 +306,11 @@ class ShardWorkerPool:
             for rids in assignment
         ])
 
-    def epoch(self, until: float) -> List[dict]:
-        """Run every worker's regions to ``until``; workers deliver the
-        previous barrier's peer-queue batches themselves.  Returns
-        per-worker ``{"next_time", "min_arrival", "sent"}``."""
-        return self._call_all([
-            {"op": "shard_epoch", "until": until} for _ in self._slots
-        ])
-
     def run_barrier(
         self,
         lookahead: float,
         horizon: float,
-        adaptive: bool = False,
         promise: Optional[float] = None,
-        codec: bool = True,
     ) -> List[dict]:
         """Run the whole SPMD barrier loop inside the workers.
 
@@ -346,7 +321,7 @@ class ShardWorkerPool:
         "sent", "exchange_bytes", "exchange_blobs"}``."""
         return self._call_all([
             {"op": "shard_run", "lookahead": lookahead, "horizon": horizon,
-             "adaptive": adaptive, "promise": promise, "codec": codec}
+             "promise": promise}
             for _ in self._slots
         ])
 
@@ -368,9 +343,6 @@ class ShardWorkerPool:
             if process.is_alive():
                 process.terminate()
                 process.join()
-        for queue in self._queues:
-            queue.close()
-        self._queues = []
         self._slots = []
 
 

@@ -183,7 +183,7 @@ class CampaignScheduler:
             trace=bool(self.trace if trace is None else trace),
             preflight=bool(self.preflight if preflight is None
                            else preflight),
-            started_at=time.time(),
+            started_at=time.perf_counter(),
             spawned_at_submit=self.processes_spawned,
         )
         if job.summary.skipped:
@@ -493,7 +493,7 @@ class CampaignScheduler:
 
     def _finalize(self, job: CampaignJob) -> None:
         job.done = True
-        job.summary.duration_s = time.time() - job.started_at
+        job.summary.duration_s = time.perf_counter() - job.started_at
         job.summary.processes_spawned = (
             self.processes_spawned - job.spawned_at_submit)
         self._progress(job.summary.render())

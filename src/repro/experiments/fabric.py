@@ -92,8 +92,6 @@ def fabric_config(
     table_eviction: str = "refuse",
     trace: bool = False,
     trace_capacity: int = 262_144,
-    adaptive_lookahead: bool = True,
-    exchange_codec: bool = True,
     sketch: bool = False,
     sketch_window_s: Optional[float] = None,
     detectors: Optional[Any] = None,
@@ -207,10 +205,6 @@ def fabric_config(
         "table_eviction": table_eviction,
         "trace": bool(trace),
         "trace_capacity": int(trace_capacity),
-        # Cross-shard fast-lane switches (see docs/PERFORMANCE.md): both
-        # change only how the barrier executes, never the results.
-        "adaptive_lookahead": bool(adaptive_lookahead),
-        "exchange_codec": bool(exchange_codec),
         "sketch": bool(sketch),
         "sketch_window_s": float(sketch_window_s),
         "detectors": detectors,
@@ -403,7 +397,7 @@ class FabricPlan:
     weights: Dict[int, int]
     pairs: List[Tuple[str, str]]
     cut: int
-    #: Minimum boundary-channel latency — the adaptive barrier's safe
+    #: Minimum boundary-channel latency — the barrier schedule's safe
     #: widening promise (``inf`` when nothing crosses a region boundary).
     promise: float = FABRIC_LINK_LATENCY
     _routes: Optional[Dict[str, List[Tuple[Any, int]]]] = field(
@@ -1015,9 +1009,12 @@ def run_fabric_experiment(
         fail_mode=fail_mode, seed=seed, trace=bool(trace), **config_kwargs,
     )
     plan = plan_fabric(config)
-    if shards > 1 and multiprocessing.current_process().daemon:
-        # Campaign workers are daemonic and cannot fork shard workers;
-        # fall back to inline multi-region execution (same results).
+    if shards > 1 and (
+            multiprocessing.current_process().daemon
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        # Campaign workers are daemonic and cannot spawn shard workers,
+        # and the pool's pipe mesh needs fork; fall back to inline
+        # multi-region execution (same results).
         shards = 1
     sim = ShardedSimulation(
         config,
@@ -1026,8 +1023,6 @@ def run_fabric_experiment(
         lookahead=plan.lookahead,
         horizon=config["horizon_s"],
         shards=shards,
-        adaptive=config.get("adaptive_lookahead", True),
-        codec=config.get("exchange_codec", True),
         promise=plan.promise,
     )
     payload = sim.run()

@@ -35,25 +35,32 @@ Encoders/decoders are **stateful per directed worker pair**: state
 persists across the blobs of one stream and must never be shared
 between streams.  Both ends of a stream process its blobs in the same
 round order (the barrier is lock-step), which is what makes the
-mirrored state sound.  :func:`pickle_batch` / :func:`unpickle_batch`
-provide the pickled-tuple wire format for A/B byte accounting and as
-the codec-off mode of the determinism suite.
+mirrored state sound.
+
+This module also owns the boundary vocabulary — :data:`ShardMessage`
+and the ``OP_*`` channel ops — that :mod:`repro.sim.shard` emits.
 """
 
 from __future__ import annotations
 
-import pickle
 import struct
 from typing import Dict, List, Tuple
 
 #: A cross-region message: (arrival_time, channel, seq, op, payload).
+#: Tuples sort naturally into the deterministic delivery order.
 ShardMessage = Tuple[float, str, int, str, bytes]
 
 #: A batch: destination region id -> ordered messages.
 Batch = Dict[int, List[ShardMessage]]
 
-# Wire op codes (must stay in sync with repro.sim.shard OP_* strings).
-_OPS = ("frame", "data", "open", "close")
+#: Channel-op vocabulary.
+OP_FRAME = "frame"   # a data-plane frame crossing a boundary link
+OP_DATA = "data"     # control-plane stream bytes
+OP_OPEN = "open"     # control-plane dial
+OP_CLOSE = "close"   # control-plane teardown
+
+# Wire op codes: an op's index in this tuple.
+_OPS = (OP_FRAME, OP_DATA, OP_OPEN, OP_CLOSE)
 _OP_CODE = {name: code for code, name in enumerate(_OPS)}
 
 #: Per-channel payload table bound.  Big enough that every flow crossing
@@ -226,11 +233,3 @@ class BatchDecoder:
             )
         return batch
 
-
-def pickle_batch(batch: Batch) -> bytes:
-    """Legacy wire format: one pickle over the per-message tuples."""
-    return pickle.dumps(batch, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def unpickle_batch(blob: bytes) -> Batch:
-    return pickle.loads(blob)

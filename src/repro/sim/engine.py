@@ -162,7 +162,7 @@ class SimulationEngine:
         does **not** consume the engine's event sequence counter.  Region
         execution therefore produces identical event orderings no matter
         how the barrier grouped deliveries into epochs — the invariant that
-        lets adaptive lookahead stay byte-identical to fixed-width epochs.
+        lets widened barrier epochs stay byte-identical to fixed-width ones.
         """
         if time < self._now:
             raise SimulationError(

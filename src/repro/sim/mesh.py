@@ -16,9 +16,9 @@ round ``r`` is fully collected), so at most one frame per sender can
 arrive ahead of the round being collected and per-peer buffers stay
 bounded.
 
-The mesh relies on file-descriptor inheritance and is therefore only
-available under the ``fork`` start method; :func:`create_mesh` returns
-``None`` otherwise and the pool falls back to queue-routed exchange.
+The mesh relies on file-descriptor inheritance, so
+:class:`~repro.campaign.runner.ShardWorkerPool` always forks its
+workers.
 """
 
 from __future__ import annotations
@@ -35,9 +35,10 @@ _STALL_TIMEOUT_S = 600.0
 MeshMatrix = List[List[Optional[Tuple[int, int]]]]
 
 
-def create_mesh(workers: int, start_method: str) -> Optional[MeshMatrix]:
-    """Build the pipe matrix in the parent, before any worker forks."""
-    if start_method != "fork" or workers < 2:
+def create_mesh(workers: int) -> Optional[MeshMatrix]:
+    """Build the pipe matrix in the parent, before any worker forks
+    (``None`` for a single worker, which has no peers)."""
+    if workers < 2:
         return None
     matrix: MeshMatrix = []
     for i in range(workers):

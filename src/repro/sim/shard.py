@@ -33,32 +33,30 @@ nondeterminism is region-local:
 
 Consequently a run's results (metrics, traces) are byte-identical whether
 its regions execute inline in one process or spread over any number of
-pool workers, with fixed or adaptive epoch boundaries, and with either
-exchange wire format.
+pool workers.
 
 Barrier schedule
 ----------------
 
 :class:`BarrierSchedule` computes epoch boundaries from global barrier
 state (the earliest local event any region holds and the earliest
-in-flight message arrival).  In **fixed** mode epochs advance one
-lookahead-quantum grid slot at a time, fast-forwarding over empty slots.
-In **adaptive** mode each epoch widens to ``wake + promise``, where the
-*promise* is the minimum boundary-channel latency: when every region is
-quiescent until ``wake``, no boundary channel can emit anything arriving
-before ``wake + promise``, so the barrier is provably safe and sparse
-phases (liveness timers, ping intervals, drain tails) collapse into far
-fewer rounds.  Windowing invariance makes both modes byte-identical.
+in-flight message arrival).  Each epoch widens to ``wake + promise``,
+where the *promise* is the minimum boundary-channel latency: when every
+region is quiescent until ``wake``, no boundary channel can emit anything
+arriving before ``wake + promise``, so the barrier is provably safe and
+sparse phases (liveness timers, ping intervals, drain tails) collapse
+into few rounds.
 
-Exchange fast lane
-------------------
+Exchange
+--------
 
-Pooled execution runs the whole barrier loop **inside** the workers
-(``shard_run``): every worker computes the identical schedule from
-exchanged control words and ships its message batches peer-to-peer over
+There is one cross-shard execution path.  Pooled execution runs the
+whole barrier loop **inside** the workers (``shard_run``): every worker
+computes the identical schedule from exchanged control words and ships
+its message batches peer-to-peer over
 :class:`~repro.sim.mesh.MeshEndpoint` pipes as single packed blobs
 (:mod:`repro.sim.codec`), so the coordinator's only involvement is one
-task/reply per run — nothing serial remains on the critical path.
+task/reply per run.  ``shards <= 1`` runs the same barrier loop inline.
 """
 
 from __future__ import annotations
@@ -72,22 +70,15 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.dataplane.link import _Direction
 from repro.netlib import fastframe
 from repro.sim.codec import (
+    OP_CLOSE,
+    OP_DATA,
+    OP_FRAME,
+    OP_OPEN,
     BatchDecoder,
     BatchEncoder,
-    pickle_batch,
-    unpickle_batch,
+    ShardMessage,
 )
 from repro.sim.engine import SimulationEngine
-
-#: A cross-region message: (arrival_time, channel, seq, op, payload).
-#: Tuples sort naturally into the deterministic delivery order.
-ShardMessage = Tuple[float, str, int, str, bytes]
-
-#: Channel-op vocabulary.
-OP_FRAME = "frame"   # a data-plane frame crossing a boundary link
-OP_DATA = "data"     # control-plane stream bytes
-OP_OPEN = "open"     # control-plane dial
-OP_CLOSE = "close"   # control-plane teardown
 
 
 class RegionContext:
@@ -185,8 +176,8 @@ class BoundaryTx(_Direction):
     the arrival instant keeps the queue-occupancy dynamics identical to
     an unsharded link.  Payloads are flattened to plain ``bytes`` at the
     boundary — the receiving region re-interns them into its own
-    FastFrame pool at dispatch, so every execution mode (inline, pooled,
-    either codec) observes the identical pool history.
+    FastFrame pool at dispatch, so inline and pooled execution observe
+    the identical pool history.
     """
 
     __slots__ = ("emit", "chan")
@@ -410,10 +401,6 @@ class ShardRegion:
             next_time = self.engine.next_event_time()
         return out, next_time
 
-    def run_until(self, until: float) -> Tuple[List[Tuple[int, ShardMessage]], Optional[float]]:
-        """Advance this region's clock to ``until``; drain the outbox."""
-        return self.run_epoch(until)
-
     def collect(self) -> Dict[str, Any]:
         """Region results (metrics, workload counters, trace events)."""
         with self.ctx:
@@ -432,16 +419,16 @@ class BarrierSchedule:
 
     A pure function of the global barrier state fed to :meth:`advance`
     (earliest pending local event, earliest in-flight arrival), so the
-    inline coordinator and every SPMD worker compute the identical
-    boundary sequence independently.
+    inline loop and every SPMD worker compute the identical boundary
+    sequence independently.
 
-    Fixed mode reproduces the classic grid: epochs end on multiples of
-    the lookahead ``L``, fast-forwarding over empty slots.  Adaptive mode
-    ends each epoch at ``wake + promise`` instead (clamped to the
-    horizon): since no region fires an event before ``wake``, no boundary
-    channel can emit a message arriving before ``wake + promise``, which
-    keeps the no-rollback guarantee while widening epochs well past one
-    grid slot whenever regions are quiescent.
+    Each epoch ends at ``wake + promise`` (clamped to the horizon): since
+    no region fires an event before ``wake``, no boundary channel can
+    emit a message arriving before ``wake + promise``, which keeps the
+    no-rollback guarantee while widening epochs well past one lookahead
+    grid slot whenever regions are quiescent.  The grid (epochs ending on
+    multiples of the lookahead ``L``) is still tracked, for the
+    ``epochs_skipped``/``epochs_widened`` counters.
 
     A message can arrive *exactly on* an epoch boundary (latency equal to
     the promise).  It is delivered at the next barrier and its dispatch
@@ -450,12 +437,10 @@ class BarrierSchedule:
     produces — so widening never changes results.  The one edge case is
     an arrival landing exactly on the horizon: :meth:`advance` answers
     with a *drain round* (another epoch at the horizon) instead of
-    terminating, so the delivery is never dropped.  Fixed-grid arrivals
-    are strictly beyond ``previous boundary + L`` and can never trigger
-    the drain.
+    terminating, so the delivery is never dropped.
     """
 
-    __slots__ = ("lookahead", "horizon", "adaptive", "promise",
+    __slots__ = ("lookahead", "horizon", "promise",
                  "epochs", "epochs_skipped", "epochs_widened",
                  "_k", "_until")
 
@@ -463,14 +448,12 @@ class BarrierSchedule:
         self,
         lookahead: float,
         horizon: float,
-        adaptive: bool = False,
         promise: Optional[float] = None,
     ) -> None:
         if lookahead <= 0:
             raise ValueError(f"lookahead must be positive, got {lookahead!r}")
         self.lookahead = float(lookahead)
         self.horizon = float(horizon)
-        self.adaptive = bool(adaptive)
         # The promise may never undercut the lookahead (boundary channels
         # all have latency >= L); math.inf means "no boundary channels at
         # all" and lets the schedule jump straight to the horizon.
@@ -520,17 +503,11 @@ class BarrierSchedule:
             self._k = k_next
             self._until = min((k_next + 1) * lookahead, horizon)
             return True
-        if not self.adaptive:
-            # The epoch whose (k+1)*L boundary first covers `wake`.
-            k_next = max(self._k + 1, -int(-wake / lookahead) - 1)
-            self.epochs_skipped += max(0, k_next - self._k - 1)
-            self._k = k_next
-            self._until = min((k_next + 1) * lookahead, horizon)
-            return True
         promise = self.promise
         target = horizon if math.isinf(promise) else min(horizon, wake + promise)
         if target <= self._until:  # pragma: no cover - defensive clamp
             target = min(horizon, self._until + lookahead)
+        # The grid epoch whose (k+1)*L boundary first covers `wake`.
         grid_k = max(self._k + 1, -int(-wake / lookahead) - 1)
         grid_until = min((grid_k + 1) * lookahead, horizon)
         if target > grid_until:
@@ -584,23 +561,16 @@ class ShardWorkerSession:
     (batches travel peer-to-peer over the pipe mesh, every worker derives
     the identical epoch schedule from exchanged control words, and the
     coordinator sees exactly one reply per run); ``shard_collect``
-    returns results.  The per-epoch ops (``shard_epoch``) remain as the
-    queue-routed fallback for pools without a mesh (non-fork start
-    methods) and for single-worker pools driven epoch by epoch.
+    returns results.
     """
 
-    def __init__(self, peer_queues=None, peer_index: Optional[int] = None,
-                 mesh_matrix=None) -> None:
+    def __init__(self, peer_index: int, mesh_matrix) -> None:
         self.regions: Dict[int, ShardRegion] = {}
         self.cpu_s = 0.0
-        self._peers = list(peer_queues) if peer_queues else None
         self._index = peer_index
         self._owner: Dict[int, int] = {}
-        self._round = 0
-        self._local_inbox: Dict[int, List[ShardMessage]] = {}
-        self._deferred: Dict[Tuple[int, int], Dict[int, List[ShardMessage]]] = {}
         self._mesh = None
-        if mesh_matrix is not None and peer_index is not None:
+        if mesh_matrix is not None:
             from repro.sim.mesh import MeshEndpoint
 
             self._mesh = MeshEndpoint(peer_index, mesh_matrix)
@@ -618,26 +588,11 @@ class ShardWorkerSession:
                 for worker, rids in enumerate(task.get("assignment") or [])
                 for rid in rids
             }
-            self._round = 0
-            self._local_inbox = {}
-            self._deferred = {}
             self.cpu_s += time.process_time() - started
             return {"status": "ok", "rids": sorted(self.regions)}
         if op == "shard_run":
             started = time.process_time()
             reply = self._spmd_run(task)
-            self.cpu_s += time.process_time() - started
-            return reply
-        if op == "shard_epoch":
-            started = time.process_time()
-            if self._peers is not None and len(self._peers) > 1:
-                reply = self._peer_epoch(task["until"])
-            else:
-                outbox, next_time = run_region_epoch(
-                    self.regions, task["until"], task.get("inbox") or {}
-                )
-                reply = {"status": "ok", "outbox": outbox,
-                         "next_time": next_time}
             self.cpu_s += time.process_time() - started
             return reply
         if op == "shard_collect":
@@ -660,12 +615,8 @@ class ShardWorkerSession:
         workers see the same control information, so all compute the same
         boundary sequence — lock-step without a conductor.
         """
-        schedule = BarrierSchedule(
-            task["lookahead"], task["horizon"],
-            adaptive=task.get("adaptive", False),
-            promise=task.get("promise"),
-        )
-        use_codec = task.get("codec", True)
+        schedule = BarrierSchedule(task["lookahead"], task["horizon"],
+                                   promise=task.get("promise"))
         mesh = self._mesh
         peers = mesh.peers if mesh is not None else []
         encoders = {peer: BatchEncoder() for peer in peers}
@@ -691,8 +642,7 @@ class ShardWorkerSession:
                 _pack_optional(next_time), _pack_optional(min_arrival))
             for peer in peers:
                 batch = grouped[peer]
-                blob = (encoders[peer].encode(batch) if use_codec
-                        else pickle_batch(batch))
+                blob = encoders[peer].encode(batch)
                 mesh.send(peer, control + blob)
                 exchange_bytes += _CONTROL.size + len(blob)
                 if batch:
@@ -702,9 +652,7 @@ class ShardWorkerSession:
             for peer in peers:
                 frame = mesh.recv(peer)
                 peer_next, peer_arrival = _CONTROL.unpack_from(frame, 0)
-                blob = frame[_CONTROL.size:]
-                batch = (decoders[peer].decode(blob) if use_codec
-                         else unpickle_batch(blob))
+                batch = decoders[peer].decode(frame[_CONTROL.size:])
                 for rid, messages in batch.items():
                     inbox.setdefault(rid, []).extend(messages)
                 peer_next = _unpack_optional(peer_next)
@@ -725,66 +673,6 @@ class ShardWorkerSession:
                  "exchange_blobs": exchange_blobs}
         reply.update(schedule.counters())
         return reply
-
-    # -- legacy queue-routed epoch ------------------------------------- #
-
-    def _peer_epoch(self, until: float) -> Dict[str, Any]:
-        """One barrier with queue-based peer-to-peer message exchange.
-
-        Every worker puts exactly one (possibly empty) batch per round on
-        every other worker's queue, so collecting one batch per peer for
-        the previous round is a complete exchange.  Queue puts are
-        asynchronous (a feeder thread flushes them), so a fast peer's
-        round ``r+1`` batch can arrive before a slow peer's round ``r``
-        one — ahead-of-round batches are parked in ``_deferred`` until
-        their round comes up.  Delivery keys are canonical per message,
-        so neither the sender interleaving nor the merge order can leak
-        into results.
-        """
-        inbox = self._local_inbox
-        self._local_inbox = {}
-        if self._round > 0:
-            want = self._round - 1
-            pending = set(range(len(self._peers))) - {self._index}
-            for sender in sorted(pending):
-                batch = self._deferred.pop((sender, want), None)
-                if batch is not None:
-                    pending.discard(sender)
-                    for rid, messages in batch.items():
-                        inbox.setdefault(rid, []).extend(messages)
-            while pending:
-                sender, round_no, batch = self._peers[self._index].get()
-                if round_no == want and sender in pending:
-                    pending.discard(sender)
-                    for rid, messages in batch.items():
-                        inbox.setdefault(rid, []).extend(messages)
-                elif round_no > want:
-                    self._deferred[(sender, round_no)] = batch
-                else:
-                    raise RuntimeError(
-                        f"shard worker {self._index} got a duplicate or "
-                        f"stale batch from worker {sender} for round "
-                        f"{round_no} while collecting round {want}"
-                    )
-        outbox, next_time = run_region_epoch(self.regions, until, inbox)
-        grouped: List[Dict[int, List[ShardMessage]]] = [
-            {} for _ in self._peers
-        ]
-        min_arrival: Optional[float] = None
-        for dest, message in outbox:
-            grouped[self._owner[dest]].setdefault(dest, []).append(message)
-            if min_arrival is None or message[0] < min_arrival:
-                min_arrival = message[0]
-        for worker, queue in enumerate(self._peers):
-            if worker != self._index:
-                queue.put((self._index, self._round, grouped[worker]))
-        # Messages between this worker's own regions stay local: they are
-        # delivered at the next barrier, exactly as a coordinator-routed
-        # round trip would have.
-        self._local_inbox = grouped[self._index]
-        self._round += 1
-        return {"status": "ok", "next_time": next_time,
-                "min_arrival": min_arrival, "sent": len(outbox)}
 
 
 def run_region_epoch(
@@ -829,9 +717,8 @@ class ShardedSimulation:
 
     ``shards <= 1`` executes every region inline (no IPC); ``shards > 1``
     spreads regions over a persistent pool of worker processes (the
-    campaign runner's worker loop).  When the pool has a pipe mesh the
-    whole barrier loop runs SPMD inside the workers; otherwise the
-    coordinator drives per-epoch tasks over the legacy queue exchange.
+    campaign runner's worker loop) and runs the whole barrier loop SPMD
+    inside them, exchanging batches over the pipe mesh.
     """
 
     def __init__(
@@ -842,8 +729,6 @@ class ShardedSimulation:
         lookahead: float,
         horizon: float,
         shards: int = 1,
-        adaptive: bool = False,
-        codec: bool = True,
         promise: Optional[float] = None,
     ) -> None:
         if lookahead <= 0:
@@ -854,8 +739,6 @@ class ShardedSimulation:
         self.lookahead = float(lookahead)
         self.horizon = float(horizon)
         self.shards = max(1, int(shards))
-        self.adaptive = bool(adaptive)
-        self.codec = bool(codec)
         self.promise = promise
         self.epochs = 0
         self.messages = 0
@@ -863,11 +746,6 @@ class ShardedSimulation:
         self.epochs_widened = 0
         self.exchange_bytes = 0
         self.exchange_blobs = 0
-        self._last_payload: Optional[Dict[str, Any]] = None
-
-    def _schedule(self) -> BarrierSchedule:
-        return BarrierSchedule(self.lookahead, self.horizon,
-                               adaptive=self.adaptive, promise=self.promise)
 
     def run(self) -> Dict[str, Any]:
         wall_started = time.perf_counter()
@@ -886,75 +764,31 @@ class ShardedSimulation:
         payload["epochs_widened"] = self.epochs_widened
         payload["exchange_bytes"] = self.exchange_bytes
         payload["exchange_blobs"] = self.exchange_blobs
-        self._last_payload = payload
         return payload
-
-    def metrics(self) -> Dict[str, Any]:
-        """Exchange/barrier observability for the completed run."""
-        payload = self._last_payload or {}
-        return {
-            "shards": self.shards,
-            "regions": len(self.region_ids),
-            "epochs": self.epochs,
-            "epochs_skipped": self.epochs_skipped,
-            "epochs_widened": self.epochs_widened,
-            "messages": self.messages,
-            "exchange_bytes": self.exchange_bytes,
-            "exchange_blobs": self.exchange_blobs,
-            "adaptive_lookahead": self.adaptive,
-            "exchange_codec": self.codec,
-            "wall_s": payload.get("wall_s"),
-            "coordinator_cpu_s": payload.get("coordinator_cpu_s"),
-            "worker_cpu_s": list(payload.get("worker_cpu_s") or []),
-        }
-
-    # -- barrier loop shared by the coordinator-driven executors ------- #
-
-    def _barrier_loop(
-        self,
-        epoch: Callable[[float, Dict[int, List[ShardMessage]]],
-                        Tuple[Dict[int, List[ShardMessage]], Optional[float],
-                              Optional[float], int]],
-    ) -> None:
-        """Drive ``epoch(until, inbox)`` until the horizon.
-
-        The callback returns ``(next_inbox, next_time, pending_arrival,
-        sent)``: the messages the coordinator must route at the next
-        barrier (empty when workers exchange peer-to-peer), the earliest
-        local event any region still holds, the earliest arrival among
-        the messages produced this epoch, and how many were produced.
-        """
-        schedule = self._schedule()
-        inbox: Dict[int, List[ShardMessage]] = {}
-        while True:
-            inbox, next_time, pending_arrival, sent = epoch(
-                schedule.until, inbox)
-            self.messages += sent
-            if not schedule.advance(next_time, pending_arrival):
-                break
-        self._note_schedule(schedule)
-
-    def _note_schedule(self, schedule: BarrierSchedule) -> None:
-        self.epochs = schedule.epochs
-        self.epochs_skipped = schedule.epochs_skipped
-        self.epochs_widened = schedule.epochs_widened
 
     # -- inline -------------------------------------------------------- #
 
     def _run_inline(self) -> Dict[str, Any]:
+        """The barrier loop in this process: every region, one schedule."""
         regions = _build_regions(self.config, self.region_ids)
-
-        def epoch(until, inbox):
-            outbox, next_time = run_region_epoch(regions, until, inbox)
-            next_inbox: Dict[int, List[ShardMessage]] = {}
+        schedule = BarrierSchedule(self.lookahead, self.horizon,
+                                   promise=self.promise)
+        inbox: Dict[int, List[ShardMessage]] = {}
+        while True:
+            outbox, next_time = run_region_epoch(
+                regions, schedule.until, inbox)
+            inbox = {}
             pending_arrival: Optional[float] = None
             for dest, message in outbox:
-                next_inbox.setdefault(dest, []).append(message)
+                inbox.setdefault(dest, []).append(message)
                 if pending_arrival is None or message[0] < pending_arrival:
                     pending_arrival = message[0]
-            return next_inbox, next_time, pending_arrival, len(outbox)
-
-        self._barrier_loop(epoch)
+            self.messages += len(outbox)
+            if not schedule.advance(next_time, pending_arrival):
+                break
+        self.epochs = schedule.epochs
+        self.epochs_skipped = schedule.epochs_skipped
+        self.epochs_widened = schedule.epochs_widened
         results = {rid: region.collect()
                    for rid, region in sorted(regions.items())}
         return {"regions": results, "worker_cpu_s": []}
@@ -962,16 +796,31 @@ class ShardedSimulation:
     # -- pooled -------------------------------------------------------- #
 
     def _run_pooled(self) -> Dict[str, Any]:
+        """One task per worker; the barrier loop runs inside the pool."""
         from repro.campaign.runner import ShardWorkerPool
 
         assignment = assign_regions(self.region_ids, self.weights, self.shards)
         pool = ShardWorkerPool(len(assignment))
         try:
             pool.init(self.config, assignment)
-            if pool.has_mesh or len(assignment) == 1:
-                self._run_spmd(pool)
-            else:
-                self._run_stepped(pool)
+            replies = pool.run_barrier(lookahead=self.lookahead,
+                                       horizon=self.horizon,
+                                       promise=self.promise)
+            epochs = {reply["epochs"] for reply in replies}
+            if len(epochs) != 1:  # pragma: no cover - protocol invariant
+                raise RuntimeError(
+                    f"shard workers disagreed on the epoch count: "
+                    f"{sorted(epochs)}"
+                )
+            first = replies[0]
+            self.epochs = first["epochs"]
+            self.epochs_skipped = first["epochs_skipped"]
+            self.epochs_widened = first["epochs_widened"]
+            self.messages = sum(reply["sent"] for reply in replies)
+            self.exchange_bytes = sum(reply["exchange_bytes"]
+                                      for reply in replies)
+            self.exchange_blobs = sum(reply["exchange_blobs"]
+                                      for reply in replies)
             collected = pool.collect()
             results: Dict[int, Dict[str, Any]] = {}
             worker_cpu = []
@@ -985,45 +834,3 @@ class ShardedSimulation:
             }
         finally:
             pool.shutdown()
-
-    def _run_spmd(self, pool) -> None:
-        """One task per worker; the barrier loop runs inside the pool."""
-        replies = pool.run_barrier(
-            lookahead=self.lookahead, horizon=self.horizon,
-            adaptive=self.adaptive, promise=self.promise, codec=self.codec)
-        epochs = {reply["epochs"] for reply in replies}
-        if len(epochs) != 1:  # pragma: no cover - protocol invariant
-            raise RuntimeError(
-                f"shard workers disagreed on the epoch count: {sorted(epochs)}"
-            )
-        first = replies[0]
-        self.epochs = first["epochs"]
-        self.epochs_skipped = first["epochs_skipped"]
-        self.epochs_widened = first["epochs_widened"]
-        self.messages = sum(reply["sent"] for reply in replies)
-        self.exchange_bytes = sum(reply["exchange_bytes"] for reply in replies)
-        self.exchange_blobs = sum(reply["exchange_blobs"] for reply in replies)
-
-    def _run_stepped(self, pool) -> None:
-        """Legacy fallback: coordinator-driven epochs over queue exchange."""
-
-        def epoch(until, inbox):
-            replies = pool.epoch(until)
-            next_time: Optional[float] = None
-            pending_arrival: Optional[float] = None
-            sent = 0
-            for reply in replies:
-                worker_next = reply["next_time"]
-                if worker_next is not None and (
-                    next_time is None or worker_next < next_time
-                ):
-                    next_time = worker_next
-                arrival = reply["min_arrival"]
-                if arrival is not None and (
-                    pending_arrival is None or arrival < pending_arrival
-                ):
-                    pending_arrival = arrival
-                sent += reply["sent"]
-            return {}, next_time, pending_arrival, sent
-
-        self._barrier_loop(epoch)

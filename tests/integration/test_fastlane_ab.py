@@ -11,7 +11,7 @@ from typing import Dict, List, Tuple
 
 import pytest
 
-from repro.campaign.runner import _reset_run_state
+from repro.campaign.runner import reset_run_state
 from repro.dataplane.host import Host
 from repro.experiments import run_interruption_cell, run_suppression_cell
 from repro.netlib import fastframe
@@ -34,7 +34,7 @@ def run_with_capture(monkeypatch, enabled, cell, **kwargs):
         # Reseed process-global counters (ICMP ids, event sequence
         # numbers, ...) exactly as the campaign worker pool does between
         # runs, so A and B start from identical state.
-        _reset_run_state()
+        reset_run_state()
         fastframe.set_fast_lane(enabled)
         fastframe.clear_pool()
         try:

@@ -4,7 +4,9 @@ The codec is a *stateful* wire format: channel names, payload tables and
 sequence deltas all live per directed stream.  Every test therefore
 round-trips through one encoder/decoder pair and checks exact equality
 with the input batches — fidelity is the whole contract, because the
-shard determinism suite compares merged traces byte-for-byte.
+shard determinism suite compares merged traces byte-for-byte.  The
+pickled-tuple format the codec replaced is kept here, test-side, as the
+reference the codec's decoded batches must equal.
 """
 
 import pickle
@@ -22,11 +24,18 @@ from repro.sim.codec import (
     PAYLOAD_CACHE,
     BatchDecoder,
     BatchEncoder,
-    pickle_batch,
-    unpickle_batch,
 )
 
 OPS = ("frame", "data", "open", "close")
+
+
+def pickle_batch(batch):
+    """Reference wire format: one pickle over the per-message tuples."""
+    return pickle.dumps(batch, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def unpickle_batch(blob):
+    return pickle.loads(blob)
 
 
 def roundtrip(batches):

@@ -2,23 +2,29 @@
 
 The same fabric run must produce byte-identical merged trace exports and
 identical metrics whether its regions execute inline in one process or
-spread across any number of pool workers — and regardless of which
-exchange fast-lane features are enabled.  The full A/B matrix is
-(codec on/off) x (adaptive lookahead on/off) x (1/2/4 shards):
-the packed codec must be a pure wire-format change, and adaptive
-epoch widening must never reorder deliveries.
+spread across any number of pool workers (1/2/4 shards).  A second proof
+covers the barrier schedule: replaying a run on the fixed lookahead grid
+(``barrier_oracle``) must not change a byte either, because epoch
+widening may never reorder deliveries.
 
 Suppression and interruption attacks are both exercised — the injector,
 proxies, and control-plane boundary channels all sit on the sharded path.
 """
 
-import itertools
+import json
+import multiprocessing
 import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.campaign import reset_run_state
 from repro.experiments.fabric import run_fabric_experiment
+from repro.sim.shard import BarrierSchedule
+
+from tests.sim.barrier_oracle import fixed_grid_advance
 
 #: ``record()`` keys that legitimately differ between executions of the
 #: same scenario: timing, CPU accounting, and the wire-level exchange
@@ -29,8 +35,8 @@ EXECUTION_KEYS = (
     "coordinator_cpu_s", "worker_cpu_s", "exchange_bytes", "exchange_blobs",
 )
 
-#: Additionally schedule-dependent: epoch counts differ between fixed
-#: and adaptive barrier schedules (that is the point of widening).
+#: Additionally schedule-dependent: epoch counts differ between the
+#: fixed grid and the widening schedule (that is the point of widening).
 SCHEDULE_KEYS = ("epochs", "epochs_skipped", "epochs_widened")
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0", "false")
@@ -54,37 +60,31 @@ def _comparable(result, across_schedules=False):
     return metrics
 
 
-def test_fast_lane_matrix_is_byte_identical():
-    """Every (codec, adaptive, shards) combination replays the same run."""
+def test_shard_count_matrix_is_byte_identical():
+    """Every shard count replays the same run, epoch for epoch."""
     shard_counts = (1, 2) if QUICK else (1, 2, 4)
-    reference = None
-    epochs_by_mode = {}
-    for shards, adaptive, codec in itertools.product(
-        shard_counts, (True, False), (True, False)
-    ):
-        result = _run(shards, adaptive_lookahead=adaptive,
-                      exchange_codec=codec)
-        tag = f"shards={shards} adaptive={adaptive} codec={codec}"
-        assert result.trace_events > 0, tag
-        if reference is None:
-            reference = result
-        else:
-            assert result.trace_jsonl == reference.trace_jsonl, tag
-            assert (_comparable(result, across_schedules=True)
-                    == _comparable(reference, across_schedules=True)), tag
-        # Epoch counts depend only on the schedule mode, never on the
-        # shard count or wire format.
-        epochs = epochs_by_mode.setdefault(adaptive, result.epochs)
-        assert result.epochs == epochs, tag
+    reference = _run(shard_counts[0])
+    assert reference.trace_events > 0
+    for shards in shard_counts[1:]:
+        result = _run(shards)
+        tag = f"shards={shards}"
+        assert result.trace_jsonl == reference.trace_jsonl, tag
+        assert _comparable(result) == _comparable(reference), tag
 
 
-def test_adaptive_lookahead_actually_widens_epochs():
-    adaptive = _run(2, adaptive_lookahead=True)
-    fixed = _run(2, adaptive_lookahead=False)
-    assert adaptive.trace_jsonl == fixed.trace_jsonl
-    assert adaptive.epochs_widened > 0
+def test_fixed_grid_oracle_replays_the_widened_run(monkeypatch):
+    """Windowing invariance: the fixed-grid schedule runs more, narrower
+    epochs and produces the identical trace and metrics."""
+    widened = _run(1)
+    with monkeypatch.context() as patch:
+        patch.setattr(BarrierSchedule, "advance", fixed_grid_advance)
+        fixed = _run(1)
+    assert fixed.trace_jsonl == widened.trace_jsonl
+    assert (_comparable(fixed, across_schedules=True)
+            == _comparable(widened, across_schedules=True))
+    assert widened.epochs_widened > 0
     assert fixed.epochs_widened == 0
-    assert adaptive.epochs < fixed.epochs
+    assert fixed.epochs > widened.epochs
 
 
 def test_suppression_attack_is_shard_invariant():
@@ -147,3 +147,50 @@ def test_exchange_counters_are_populated_on_pooled_runs():
     assert pooled.cross_shard_messages > 0
     inline = _run(1)
     assert inline.exchange_bytes == inline.exchange_blobs == 0
+
+
+#: Runs a 2-shard fabric in a fresh interpreter whose default start
+#: method is ``spawn``; prints the exchange counters and the trace.
+_SPAWN_SCRIPT = """
+import json, multiprocessing
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    from repro.experiments.fabric import run_fabric_experiment
+    result = run_fabric_experiment(
+        "fat-tree-k4", controller="floodlight", pairs=4, packets=3,
+        shards=2, trace=True)
+    print(json.dumps({"shards": result.shards,
+                      "exchange_bytes": result.exchange_bytes,
+                      "exchange_blobs": result.exchange_blobs,
+                      "trace": result.trace_jsonl}))
+"""
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the shard pool needs fork")
+def test_pool_exchanges_over_the_mesh_under_spawn_default(tmp_path):
+    """The pool forks whatever the default start method is, so a spawn
+    (or forkserver) interpreter still exchanges over the pipe mesh."""
+    script = tmp_path / "spawn_run.py"
+    script.write_text(_SPAWN_SCRIPT)
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    completed = subprocess.run(
+        [sys.executable, str(script)], env=env, capture_output=True,
+        text=True, timeout=300, check=True)
+    pooled = json.loads(completed.stdout.strip().splitlines()[-1])
+    assert pooled["shards"] == 2
+    assert pooled["exchange_bytes"] > 0
+    assert pooled["exchange_blobs"] > 0
+    assert pooled["trace"] == _run(1).trace_jsonl
+
+
+def test_no_fork_platform_runs_inline(monkeypatch):
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn", "forkserver"])
+    result = _run(2)
+    assert result.shards == 1
+    assert result.exchange_bytes == result.exchange_blobs == 0
+    assert result.trace_jsonl == _run(1).trace_jsonl
