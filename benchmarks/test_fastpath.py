@@ -192,7 +192,7 @@ def test_multihop_forwarding_speedup(benchmark):
     from repro.dataplane.switch import OpenFlowSwitch
     from repro.netlib import EtherType, EthernetFrame, Ipv4Address, \
         Ipv4Packet, MacAddress, TcpSegment, fastframe
-    from repro.openflow.match import extract_packet_fields_reference
+    from tests.netlib.flowkey_oracle import extract_packet_fields_reference
 
     N_SWITCHES = 4
     FORWARD_FLOOR = 3.0

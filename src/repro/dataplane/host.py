@@ -6,11 +6,27 @@ transfer that measures achieved throughput.  The stack is deliberately
 simple — go-back-N with a fixed window — but it exercises the same
 data-plane paths (ARP resolution, per-flow table misses, controller round
 trips) whose disruption the paper measures.
+
+The stack rides the packet fast lane (``repro.netlib.fastframe``) in both
+directions, so no Ethernet/IPv4/TCP object graph is built or decoded per
+segment:
+
+* Receive: every decision — NIC filter, ethertype, destination IP,
+  protocol, ports — reads the frame's memoized flow base.  The extractor
+  rejects exactly what the layer decoders reject, so a ``None`` field
+  means "this layer would not have decoded".  TCP then unpacks only
+  ``seq``/``ack``/``flags``; the rare ARP, ICMP and UDP frames still go
+  through their object decoders.
+* Send: the 34-byte Ethernet+IPv4 prefix depends only on the destination,
+  protocol, L4 length and ports, so it is built once with the codecs and
+  cached next to its flow key.  Each packet is ``prefix + l4`` emitted as
+  a keyed frame, and the first switch hop never parses it.
 """
 
 from __future__ import annotations
 
 import itertools
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -18,13 +34,33 @@ from repro.netlib import fastframe
 from repro.netlib.addresses import BROADCAST_MAC, Ipv4Address, MacAddress
 from repro.netlib.arp import ArpPacket
 from repro.netlib.ethernet import EtherType, EthernetFrame
+from repro.netlib.flowkey import MATCH_FIELD_NAMES, extract_flow_base, extract_tp_fields
 from repro.netlib.icmp import IcmpEcho
 from repro.netlib.ipv4 import IpProtocol, Ipv4Packet
-from repro.netlib.packet import decode_ethernet
-from repro.netlib.tcp import TcpFlags, TcpSegment
+from repro.netlib.tcp import TcpFlags, pack_segment
 from repro.netlib.udp import UdpDatagram
 from repro.sim.engine import SimulationEngine
 from repro.sim.process import Signal
+
+_FIN = int(TcpFlags.FIN)
+_SYN = int(TcpFlags.SYN)
+_RST = int(TcpFlags.RST)
+_ACK = int(TcpFlags.ACK)
+_TCP = int(IpProtocol.TCP)
+_UDP = int(IpProtocol.UDP)
+_ICMP = int(IpProtocol.ICMP)
+_ETHERTYPE_IPV4 = int(EtherType.IPV4)
+_ETHERTYPE_ARP = int(EtherType.ARP)
+
+_L3_OFFSET = 14  # untagged Ethernet header
+_L4_OFFSET = 34  # plus a 20-byte IPv4 header (options never decode)
+_HEADERS_LEN = 40  # IPv4 + TCP headers, both option-free
+#: IPv4 total_length at 16, then TCP seq at 38, ack at 42, flags at 47.
+_TCP_STATE = struct.Struct("!H20xIIxB")
+_TOTAL_LENGTH = struct.Struct("!H")
+_BASE_NAMES = MATCH_FIELD_NAMES[1:]  # the eleven port-independent fields
+#: Bound on cached send prefixes per host; cleared wholesale when full.
+_PREFIX_CACHE_MAX = 1024
 
 
 @dataclass
@@ -160,35 +196,35 @@ class _IperfServer:
         self.sessions: Dict[Tuple[Ipv4Address, int], int] = {}
         self.bytes_received: Dict[Tuple[Ipv4Address, int], int] = {}
 
-    def segment_received(self, src_ip: Ipv4Address, segment: TcpSegment) -> None:
-        key = (src_ip, segment.src_port)
-        if segment.is_syn:
-            self.sessions[key] = (segment.seq + 1) & 0xFFFFFFFF
+    def segment_received(self, src_ip: Ipv4Address, src_port: int, seq: int,
+                         flags: int, payload_len: int) -> None:
+        key = (src_ip, src_port)
+        if flags & _SYN:
+            self.sessions[key] = (seq + 1) & 0xFFFFFFFF
             self.bytes_received[key] = 0
-            self._send(src_ip, segment.src_port, TcpFlags.SYN | TcpFlags.ACK,
-                       seq=0, ack=self.sessions[key])
+            self._send(src_ip, src_port, _SYN | _ACK, seq=0, ack=self.sessions[key])
             return
         if key not in self.sessions:
-            self._send(src_ip, segment.src_port, TcpFlags.RST, seq=0, ack=0)
+            self._send(src_ip, src_port, _RST, seq=0, ack=0)
             return
         rcv_nxt = self.sessions[key]
-        if segment.is_fin:
-            self._send(src_ip, segment.src_port, TcpFlags.FIN | TcpFlags.ACK,
+        if flags & _FIN:
+            self._send(src_ip, src_port, _FIN | _ACK,
                        seq=1, ack=(rcv_nxt + 1) & 0xFFFFFFFF)
             self.sessions.pop(key, None)
             return
-        if segment.payload:
-            if segment.seq == rcv_nxt:
-                rcv_nxt = (rcv_nxt + len(segment.payload)) & 0xFFFFFFFF
+        if payload_len:
+            if seq == rcv_nxt:
+                rcv_nxt = (rcv_nxt + payload_len) & 0xFFFFFFFF
                 self.sessions[key] = rcv_nxt
-                self.bytes_received[key] += len(segment.payload)
+                self.bytes_received[key] += payload_len
             # Cumulative ack either way (duplicate ack on out-of-order).
-            self._send(src_ip, segment.src_port, TcpFlags.ACK, seq=1, ack=rcv_nxt)
+            self._send(src_ip, src_port, _ACK, seq=1, ack=rcv_nxt)
 
-    def _send(self, dst_ip: Ipv4Address, dst_port: int, flags: TcpFlags,
+    def _send(self, dst_ip: Ipv4Address, dst_port: int, flags: int,
               seq: int, ack: int) -> None:
-        segment = TcpSegment(self.port, dst_port, seq=seq, ack=ack, flags=flags)
-        self.host.send_ip(dst_ip, IpProtocol.TCP, segment.pack())
+        self.host.send_ip(dst_ip, _TCP,
+                          pack_segment(self.port, dst_port, seq, ack, flags))
 
 
 class _IperfClient:
@@ -196,6 +232,7 @@ class _IperfClient:
 
     MSS = 1460
     WINDOW = 65535
+    _FULL_SEGMENT = bytes(MSS)
     SYN_RETRIES = 5
     SYN_TIMEOUT = 1.0
     RTO = 0.5
@@ -235,16 +272,16 @@ class _IperfClient:
             self._finish()
             return
         self._syn_attempts += 1
-        self._send(TcpFlags.SYN, seq=0, ack=0)
+        self._send(_SYN, seq=0, ack=0)
         self.host.engine.schedule(self.SYN_TIMEOUT, self._send_syn)
 
-    def segment_received(self, segment: TcpSegment) -> None:
+    def segment_received(self, ack: int, flags: int) -> None:
         if self.finished:
             return
-        if segment.is_rst:
+        if flags & _RST:
             self._finish()
             return
-        if segment.is_syn and segment.is_ack and not self.established:
+        if flags & _SYN and flags & _ACK and not self.established:
             self.established = True
             self.result.connected = True
             self._deadline = self.host.engine.now + self.duration
@@ -253,8 +290,8 @@ class _IperfClient:
             )
             self._try_send()
             return
-        if segment.is_ack and self.established:
-            acked = (segment.ack - 1) & 0xFFFFFFFF  # data bytes acked (seq starts at 1)
+        if flags & _ACK and self.established:
+            acked = (ack - 1) & 0xFFFFFFFF  # data bytes acked (seq starts at 1)
             if acked > self.snd_una:
                 self.result.bytes_acked = acked
                 self.snd_una = acked
@@ -267,7 +304,7 @@ class _IperfClient:
         now = self.host.engine.now
         if self._deadline is not None and now >= self._deadline:
             if self.snd_una >= self.snd_max:
-                self._send(TcpFlags.FIN | TcpFlags.ACK, seq=self.snd_max + 1, ack=1)
+                self._send(_FIN | _ACK, seq=self.snd_max + 1, ack=1)
                 self._finish()
             else:
                 # Past the deadline with unacked data: retransmit the
@@ -275,16 +312,16 @@ class _IperfClient:
                 limit = min(self.snd_una + self.WINDOW, self.snd_max)
                 while self.snd_nxt < limit:
                     chunk = min(self.MSS, limit - self.snd_nxt)
-                    self._send(TcpFlags.ACK, seq=self.snd_nxt + 1, ack=1,
-                               payload=b"\x00" * chunk)
+                    self._send(_ACK, seq=self.snd_nxt + 1, ack=1,
+                               payload=bytes(chunk))
                     self.snd_nxt += chunk
                 if self._rto_event is None:
                     self._restart_rto()
             return
+        payload = self._FULL_SEGMENT
         while self.snd_nxt - self.snd_una < self.WINDOW:
-            payload = b"\x00" * self.MSS
-            self._send(TcpFlags.ACK, seq=self.snd_nxt + 1, ack=1, payload=payload)
-            self.snd_nxt += len(payload)
+            self._send(_ACK, seq=self.snd_nxt + 1, ack=1, payload=payload)
+            self.snd_nxt += self.MSS
             self.snd_max = max(self.snd_max, self.snd_nxt)
         if self._rto_event is None:
             self._restart_rto()
@@ -308,10 +345,9 @@ class _IperfClient:
         else:
             self._try_send()
 
-    def _send(self, flags: TcpFlags, seq: int, ack: int, payload: bytes = b"") -> None:
-        segment = TcpSegment(self.src_port, self.port, seq=seq, ack=ack,
-                             flags=flags, payload=payload)
-        self.host.send_ip(self.target, IpProtocol.TCP, segment.pack())
+    def _send(self, flags: int, seq: int, ack: int, payload: bytes = b"") -> None:
+        self.host.send_ip(self.target, _TCP, pack_segment(
+            self.src_port, self.port, seq, ack, flags, payload))
 
     def _finish(self) -> None:
         if self.finished:
@@ -351,13 +387,17 @@ class Host:
         self._transmit: Optional[Callable[[bytes], None]] = None
 
         self.arp_table: Dict[Ipv4Address, MacAddress] = {}
-        self._arp_pending: Dict[Ipv4Address, List[bytes]] = {}
+        # Unresolved destinations -> queued (protocol, L4 bytes).
+        self._arp_pending: Dict[Ipv4Address, List[Tuple[int, bytes]]] = {}
         self._arp_attempts: Dict[Ipv4Address, int] = {}
 
         self._ping_runs: Dict[int, _PingRun] = {}
         self._iperf_servers: Dict[int, _IperfServer] = {}
         self._iperf_clients: Dict[int, _IperfClient] = {}
         self._udp_handlers: Dict[int, Callable[[Ipv4Address, UdpDatagram], None]] = {}
+        # (dst_mac, dst_ip, protocol, L4 length, (tp_src, tp_dst)) ->
+        # (Ethernet+IPv4 prefix, flow base, base tuple); see _ip_frame.
+        self._tx_prefixes: Dict[tuple, tuple] = {}
 
         self.stats: Dict[str, int] = {
             "tx_frames": 0,
@@ -376,11 +416,11 @@ class Host:
         """Bind the host NIC to its access link."""
         self._transmit = transmit
 
-    def _send_frame(self, frame: EthernetFrame) -> None:
+    def _send_frame(self, data: bytes) -> None:
         if self._transmit is None:
             raise RuntimeError(f"host {self.name} is not attached to a link")
         self.stats["tx_frames"] += 1
-        self._transmit(frame.pack())
+        self._transmit(data)
 
     def inject_frame(self, data: bytes) -> None:
         """Put pre-packed frame bytes on the wire as-is.
@@ -388,12 +428,9 @@ class Host:
         The traffic-generator subsystem synthesizes frames from templates
         (``repro.workloads``) — including spoofed source MACs/IPs the
         normal stack would never emit — so they bypass ARP resolution and
-        EthernetFrame re-packing entirely.
+        the host's own frame construction entirely.
         """
-        if self._transmit is None:
-            raise RuntimeError(f"host {self.name} is not attached to a link")
-        self.stats["tx_frames"] += 1
-        self._transmit(data)
+        self._send_frame(data)
 
     # ------------------------------------------------------------------ #
     # ARP + IP send path
@@ -402,17 +439,53 @@ class Host:
     def send_ip(self, dst_ip: Ipv4Address, protocol: int, payload: bytes) -> None:
         """Send an IPv4 packet, resolving the destination MAC first."""
         dst_ip = Ipv4Address(dst_ip)
-        packet = Ipv4Packet(self.ip, dst_ip, protocol, payload)
         dst_mac = self.arp_table.get(dst_ip)
         if dst_mac is not None:
-            self._send_frame(
-                EthernetFrame(dst_mac, self.mac, EtherType.IPV4, packet.pack())
-            )
+            self._send_frame(self._ip_frame(dst_mac, dst_ip, protocol, payload))
             return
-        self._arp_pending.setdefault(dst_ip, []).append(packet.pack())
+        self._arp_pending.setdefault(dst_ip, []).append((protocol, payload))
         if self._arp_attempts.get(dst_ip, 0) == 0:
             self._arp_attempts[dst_ip] = 0
             self._send_arp_request(dst_ip)
+
+    def _ip_frame(self, dst_mac: MacAddress, dst_ip: Ipv4Address,
+                  protocol: int, payload: bytes) -> bytes:
+        """``payload`` behind its Ethernet+IPv4 prefix, as a keyed frame.
+
+        The prefix (identification 0, TTL 64, no options) and the flow
+        key are fully determined by the cache key, so both are built once
+        per key; the bytes equal ``EthernetFrame(dst_mac, self.mac, IPV4,
+        Ipv4Packet(self.ip, dst_ip, protocol, payload).pack()).pack()``.
+        """
+        length = len(payload)
+        try:
+            tp = extract_tp_fields(protocol, payload, 0, length)
+        except ValueError:
+            tp = None  # not an echo ICMP type: see _prefix_entry
+        key = (dst_mac, dst_ip, protocol, length, tp)
+        entry = self._tx_prefixes.get(key)
+        if entry is None:
+            entry = self._prefix_entry(key, payload)
+        prefix, base, base_tuple = entry
+        if base is None:
+            return prefix + payload
+        return fastframe.keyed_frame(prefix + payload, base, base_tuple)
+
+    def _prefix_entry(self, key: tuple, payload: bytes) -> tuple:
+        dst_mac, dst_ip, protocol, length, tp = key
+        header = Ipv4Packet(self.ip, dst_ip, protocol, bytes(length)).pack()[:20]
+        prefix = EthernetFrame(dst_mac, self.mac, EtherType.IPV4, header).pack()
+        if tp is None:
+            # Unkeyable: the frame goes out plain and the first switch
+            # hop's extraction raises, as it always has.
+            entry = (prefix, None, None)
+        else:
+            base = extract_flow_base(prefix + payload)
+            entry = (prefix, base, tuple(base[name] for name in _BASE_NAMES))
+        if len(self._tx_prefixes) >= _PREFIX_CACHE_MAX:
+            self._tx_prefixes.clear()
+        self._tx_prefixes[key] = entry
+        return entry
 
     def _send_arp_request(self, dst_ip: Ipv4Address) -> None:
         if dst_ip in self.arp_table or dst_ip not in self._arp_pending:
@@ -426,7 +499,9 @@ class Host:
         self._arp_attempts[dst_ip] = attempts + 1
         self.stats["arp_requests_sent"] += 1
         arp = ArpPacket.request(self.mac, self.ip, dst_ip)
-        self._send_frame(EthernetFrame(BROADCAST_MAC, self.mac, EtherType.ARP, arp.pack()))
+        self._send_frame(
+            EthernetFrame(BROADCAST_MAC, self.mac, EtherType.ARP, arp.pack()).pack()
+        )
         self.engine.schedule(self.ARP_TIMEOUT, self._send_arp_request, dst_ip)
 
     # ------------------------------------------------------------------ #
@@ -434,26 +509,23 @@ class Host:
     # ------------------------------------------------------------------ #
 
     def frame_received(self, data: bytes) -> None:
-        """Entry point for frames arriving from the access link."""
+        """Entry point for frames arriving from the access link.
+
+        Dispatches on the frame's flow base (see the module docstring);
+        raises what ``extract_flow_base`` raises — ``FrameDecodeError``
+        for a runt, ``ValueError`` for an unknown ARP opcode or ICMP type.
+        """
         self.stats["rx_frames"] += 1
-        if fastframe.fast_lane_enabled():
-            # NIC filter without a full decode: flooded unicast for some
-            # other host is the common case on learning-switch topologies,
-            # and the MAC pair is already memoized on interned frames.
-            macs = fastframe.mac_pair(data)
-            if macs is not None:
-                dst = macs[1]
-                if dst != self.mac and not dst.is_broadcast and not dst.is_multicast:
-                    return
-        decoded = decode_ethernet(data)
-        frame = decoded.ethernet
-        if frame.dst != self.mac and not frame.dst.is_broadcast and not frame.dst.is_multicast:
+        base = fastframe.flow_base(data)
+        dst = base["dl_dst"]
+        if dst != self.mac and not dst.is_multicast:  # broadcast is multicast
             return  # not for us (flooded unicast for another host)
-        l3 = decoded.l3
-        if isinstance(l3, ArpPacket):
-            self._handle_arp(l3)
-        elif isinstance(l3, Ipv4Packet) and l3.dst == self.ip:
-            self._handle_ip(l3, decoded.l4)
+        dl_type = base["dl_type"]
+        if dl_type == _ETHERTYPE_IPV4:
+            if base["tp_src"] is not None and base["nw_dst"] == self.ip:
+                self._handle_ip(data, base)
+        elif dl_type == _ETHERTYPE_ARP and base["nw_proto"] is not None:
+            self._handle_arp(ArpPacket.unpack(data[_L3_OFFSET:]))
 
     def _handle_arp(self, arp: ArpPacket) -> None:
         # Opportunistic learning from both requests and replies.
@@ -463,7 +535,7 @@ class Host:
             self.stats["arp_replies_sent"] += 1
             reply = ArpPacket.reply(self.mac, self.ip, arp.sender_mac, arp.sender_ip)
             self._send_frame(
-                EthernetFrame(arp.sender_mac, self.mac, EtherType.ARP, reply.pack())
+                EthernetFrame(arp.sender_mac, self.mac, EtherType.ARP, reply.pack()).pack()
             )
 
     def _flush_pending(self, ip: Ipv4Address) -> None:
@@ -472,30 +544,39 @@ class Host:
         self._arp_attempts.pop(ip, None)
         if mac is None:
             return
-        for packet_bytes in pending:
-            self._send_frame(EthernetFrame(mac, self.mac, EtherType.IPV4, packet_bytes))
+        for protocol, payload in pending:
+            self._send_frame(self._ip_frame(mac, ip, protocol, payload))
 
-    def _handle_ip(self, packet: Ipv4Packet, l4) -> None:
-        if isinstance(l4, IcmpEcho):
-            if l4.is_request:
-                self.stats["icmp_requests_answered"] += 1
-                self.send_ip(packet.src, IpProtocol.ICMP, l4.reply().pack())
-            elif l4.is_reply:
-                run = self._ping_runs.get(l4.identifier)
-                if run is not None:
-                    run.reply_received(l4.sequence)
-        elif isinstance(l4, TcpSegment):
-            server = self._iperf_servers.get(l4.dst_port)
+    def _handle_ip(self, data: bytes, base: dict) -> None:
+        """An IPv4 packet for this host whose L4 header decodes."""
+        protocol = base["nw_proto"]
+        if protocol == _TCP:
+            total_length, seq, ack, flags = _TCP_STATE.unpack_from(data, 16)
+            server = self._iperf_servers.get(base["tp_dst"])
             if server is not None:
-                server.segment_received(packet.src, l4)
+                server.segment_received(base["nw_src"], base["tp_src"], seq,
+                                        flags, total_length - _HEADERS_LEN)
                 return
-            client = self._iperf_clients.get(l4.dst_port)
+            client = self._iperf_clients.get(base["tp_dst"])
             if client is not None:
-                client.segment_received(l4)
-        elif isinstance(l4, UdpDatagram):
-            handler = self._udp_handlers.get(l4.dst_port)
+                client.segment_received(ack, flags)
+            return
+        (total_length,) = _TOTAL_LENGTH.unpack_from(data, 16)
+        l4 = data[_L4_OFFSET:_L3_OFFSET + total_length]
+        if protocol == _ICMP:
+            echo = IcmpEcho.unpack(l4)
+            if echo.is_request:
+                self.stats["icmp_requests_answered"] += 1
+                self.send_ip(base["nw_src"], _ICMP, echo.reply().pack())
+            else:
+                run = self._ping_runs.get(echo.identifier)
+                if run is not None:
+                    run.reply_received(echo.sequence)
+        elif protocol == _UDP:
+            datagram = UdpDatagram.unpack(l4)
+            handler = self._udp_handlers.get(datagram.dst_port)
             if handler is not None:
-                handler(packet.src, l4)
+                handler(base["nw_src"], datagram)
 
     # ------------------------------------------------------------------ #
     # Workloads

@@ -26,6 +26,15 @@ Set-field actions do not invalidate the whole key: ``derive_frame``
 builds the rewritten frame's key from the parent's by replacing only the
 touched field (see ``OpenFlowSwitch._rewrite_dl``/``_rewrite_nw``).
 
+Two entry points serve the ends of the path rather than switch hops:
+
+* :func:`flow_base` reads the memoized eleven-field base of a frame.  End
+  hosts dispatch on it (NIC filter, ethertype, destination IP, protocol,
+  ports) instead of decoding the frame into layer objects.
+* :func:`keyed_frame` is the one way to emit a frame born with its key.
+  ``FrameTemplate.emit``, the host send path and ``derive_frame`` all use
+  it, so the first hop never parses a frame the simulator built itself.
+
 ``set_fast_lane(False)`` disables interning and memoization globally —
 every call falls back to a fresh single-pass extraction — which is what
 the A/B semantics tests and benchmark baselines toggle.
@@ -139,9 +148,7 @@ def flow_key(data: bytes, in_port: int) -> Tuple[Dict[str, Any], bool]:
             by_port = data._by_port = {}
         base = data._base
         if base is None:
-            base = extract_flow_base(data)
-            data._base = base
-            data._base_tuple = tuple(base[name] for name in _BASE_NAMES)
+            base = flow_base(data)
         counters["flowkey_cache_misses"] += 1
         fields = dict(base)
         fields["in_port"] = in_port
@@ -149,6 +156,44 @@ def flow_key(data: bytes, in_port: int) -> Tuple[Dict[str, Any], bool]:
         by_port[in_port] = fields
         return fields, False
     return extract_flow_key(data, in_port), False
+
+
+def flow_base(data: bytes) -> Dict[str, Any]:
+    """The eleven port-independent key fields of ``data``, memoized.
+
+    On a :class:`FastFrame` this is ``_base``, computed (with
+    ``_base_tuple``) on first use; on plain bytes or with the fast lane
+    off it is a fresh ``extract_flow_base``.  Raises exactly what
+    ``extract_flow_base`` raises, and nothing is cached on failure.
+    Treat the result as read-only: it is shared by every reader of the
+    frame (and, for host-built frames, by every frame with the same key).
+    """
+    if _enabled and type(data) is FastFrame:
+        base = data._base
+        if base is None:
+            base = extract_flow_base(data)
+            data._base = base
+            data._base_tuple = tuple(base[name] for name in _BASE_NAMES)
+        return base
+    return extract_flow_base(data)
+
+
+def keyed_frame(
+    data: bytes, base: Dict[str, Any], base_tuple: Tuple[Any, ...]
+) -> bytes:
+    """``data`` as a FastFrame born with its flow key already attached.
+
+    ``base`` must be what ``extract_flow_base(data)`` returns and
+    ``base_tuple`` its values in :data:`MATCH_FIELD_NAMES` order (minus
+    ``in_port``); the caller vouches for both.  With the fast lane off
+    the bytes go out plain and every hop extracts on demand.
+    """
+    if not _enabled:
+        return data
+    frame = FastFrame(data)
+    frame._base = base
+    frame._base_tuple = base_tuple
+    return frame
 
 
 def mac_pair(data: bytes) -> Optional[Tuple[MacAddress, MacAddress]]:
@@ -179,9 +224,6 @@ def derive_frame(new_data: bytes, parent: bytes, field: str, value: Any) -> byte
     """
     if not _enabled or type(parent) is not FastFrame or parent._base is None:
         return new_data
-    frame = FastFrame(new_data)
     base = dict(parent._base)
     base[field] = value
-    frame._base = base
-    frame._base_tuple = tuple(base[name] for name in _BASE_NAMES)
-    return frame
+    return keyed_frame(new_data, base, tuple(base[name] for name in _BASE_NAMES))

@@ -9,14 +9,16 @@ reads the twelve fields with ``struct.unpack_from`` directly against the
 buffer, allocating only the two ``MacAddress``/two ``Ipv4Address`` value
 objects the key itself carries.
 
-Semantics are bit-for-bit those of the decode-based reference
-(``extract_packet_fields_reference``): every validation a layer decoder
-performs — IPv4 version/IHL/total-length/checksum, TCP data offset, UDP
-length, ICMP code and checksum — is replicated here, and a layer that
-would have failed to decode yields ``None`` fields exactly as the
-``decode_ethernet`` route does.  ``tests/netlib/test_flowkey.py`` holds
-the equivalence suite (truncated headers, bad checksums, non-IP
-ethertypes, ICMP type/code edge cases).
+Semantics are bit-for-bit those of decoding the frame with
+``decode_ethernet``: every validation a layer decoder performs — IPv4
+version/IHL/total-length/checksum, TCP data offset, UDP length, ICMP code
+and checksum — is replicated here, and a layer that would have failed to
+decode yields ``None`` fields exactly as the decode route does.  That is
+why a ``None`` field can stand for "this layer would not decode" (the
+host stack relies on it).  ``tests/netlib/flowkey_oracle.py`` keeps the
+decode-based extraction as a test-side oracle, and
+``tests/netlib/test_flowkey.py`` holds the equivalence suite (truncated
+headers, bad checksums, non-IP ethertypes, ICMP type/code edge cases).
 """
 
 from __future__ import annotations
@@ -145,39 +147,53 @@ def _extract_ipv4(data: bytes, fields: Dict[str, Any]) -> None:
     fields["nw_proto"] = protocol
     fields["nw_src"] = Ipv4Address(nw_src)
     fields["nw_dst"] = Ipv4Address(nw_dst)
-    l4_offset = _ETH_SIZE + _IP_SIZE
-    l4_len = total_length - _IP_SIZE
+    tp_src, tp_dst = extract_tp_fields(
+        protocol, data, _ETH_SIZE + _IP_SIZE, total_length - _IP_SIZE
+    )
+    fields["tp_src"] = tp_src
+    fields["tp_dst"] = tp_dst
+
+
+_NO_TP = (None, None)
+
+
+def extract_tp_fields(
+    protocol: int, data: bytes, offset: int, length: int
+) -> Tuple[Optional[int], Optional[int]]:
+    """``(tp_src, tp_dst)`` of the ``length``-byte L4 segment at ``offset``.
+
+    ``(None, None)`` when the transport layer would not decode.  Shared by
+    the frame extractor and the host send path, which keys its outgoing
+    frames on the same pair without building the frame first.
+    """
     if protocol == 6:  # TCP
-        if l4_len < _TCP_MIN:
-            return
+        if length < _TCP_MIN:
+            return _NO_TP
         # TcpSegment.unpack rejects options (data offset != 5).
-        if data[l4_offset + 12] >> 4 != 5:
-            return
-        tp_src, tp_dst = _TCP_PORTS.unpack_from(data, l4_offset)
-        fields["tp_src"] = tp_src
-        fields["tp_dst"] = tp_dst
-    elif protocol == 17:  # UDP
-        if l4_len < _UDP_MIN:
-            return
-        tp_src, tp_dst, length, _cks = _UDP.unpack_from(data, l4_offset)
-        if length < _UDP_MIN or length > l4_len:
-            return
-        fields["tp_src"] = tp_src
-        fields["tp_dst"] = tp_dst
-    elif protocol == 1:  # ICMP
-        if l4_len < _ICMP_MIN:
-            return
-        icmp_type, code, _cks, _ident, _seq = _ICMP.unpack_from(data, l4_offset)
+        if data[offset + 12] >> 4 != 5:
+            return _NO_TP
+        return _TCP_PORTS.unpack_from(data, offset)
+    if protocol == 17:  # UDP
+        if length < _UDP_MIN:
+            return _NO_TP
+        tp_src, tp_dst, udp_length, _cks = _UDP.unpack_from(data, offset)
+        if udp_length < _UDP_MIN or udp_length > length:
+            return _NO_TP
+        return tp_src, tp_dst
+    if protocol == 1:  # ICMP
+        if length < _ICMP_MIN:
+            return _NO_TP
+        icmp_type, code, _cks, _ident, _seq = _ICMP.unpack_from(data, offset)
         if code != 0:
-            return
-        if internet_checksum(data[l4_offset : _ETH_SIZE + total_length]) != 0:
-            return
+            return _NO_TP
+        if internet_checksum(data[offset : offset + length]) != 0:
+            return _NO_TP
         if icmp_type not in (0, 8):
             # IcmpEcho refuses non-echo types at construction time with a
             # ValueError (not a decode error); keep the routes identical.
             raise ValueError(f"unsupported ICMP type {icmp_type!r}")
-        fields["tp_src"] = icmp_type
-        fields["tp_dst"] = 0
+        return icmp_type, 0
+    return _NO_TP
 
 
 def _extract_arp(data: bytes, fields: Dict[str, Any]) -> None:

@@ -17,6 +17,26 @@ class TcpFlags(IntFlag):
 
 
 _HEADER = struct.Struct("!HHIIBBHHH")
+_DATA_OFFSET = 5 << 4  # 20-byte header, no options
+
+
+def pack_segment(
+    src_port: int,
+    dst_port: int,
+    seq: int,
+    ack: int,
+    flags: int,
+    payload: bytes = b"",
+    window: int = 65535,
+) -> bytes:
+    """The wire bytes of ``TcpSegment(...).pack()`` without the object.
+
+    One ``struct`` call; the host's iperf endpoints send every segment
+    through here.  Out-of-range fields raise ``struct.error``.
+    """
+    return _HEADER.pack(
+        src_port, dst_port, seq, ack, _DATA_OFFSET, flags, window, 0, 0
+    ) + payload
 
 
 class TcpSegment:
@@ -71,19 +91,8 @@ class TcpSegment:
         return bool(self.flags & TcpFlags.RST)
 
     def pack(self) -> bytes:
-        data_offset = (5 << 4)
-        header = _HEADER.pack(
-            self.src_port,
-            self.dst_port,
-            self.seq,
-            self.ack,
-            data_offset,
-            int(self.flags),
-            self.window,
-            0,
-            0,
-        )
-        return header + self.payload
+        return pack_segment(self.src_port, self.dst_port, self.seq, self.ack,
+                            int(self.flags), self.payload, self.window)
 
     @classmethod
     def unpack(cls, data: bytes) -> "TcpSegment":

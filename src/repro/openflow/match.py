@@ -6,17 +6,11 @@ import struct
 from typing import Any, Dict, Optional, Tuple
 
 from repro.netlib.addresses import Ipv4Address, MacAddress
-from repro.netlib.ethernet import EtherType
 from repro.netlib.flowkey import (
     FIELD_TUPLE_KEY,
     MATCH_FIELD_NAMES,
     extract_flow_key,
 )
-from repro.netlib.icmp import IcmpEcho
-from repro.netlib.ipv4 import Ipv4Packet
-from repro.netlib.packet import decode_ethernet
-from repro.netlib.tcp import TcpSegment
-from repro.netlib.udp import UdpDatagram
 from repro.openflow.constants import (
     NW_DST_MASK,
     NW_DST_SHIFT,
@@ -319,48 +313,10 @@ def extract_packet_fields(data: bytes, in_port: int) -> Dict[str, Any]:
     spec's ARP_MATCH_IP behaviour.
 
     Delegates to the single-pass extractor in ``repro.netlib.flowkey``;
-    :func:`extract_packet_fields_reference` keeps the original
-    decode-the-object-graph route as the equivalence/benchmark baseline.
+    the original decode-the-object-graph route survives as the test-side
+    oracle ``tests/netlib/flowkey_oracle.py``.
     """
     return extract_flow_key(data, in_port)
-
-
-def extract_packet_fields_reference(data: bytes, in_port: int) -> Dict[str, Any]:
-    """The original decode-based extraction (semantics oracle)."""
-    decoded = decode_ethernet(data)
-    frame = decoded.ethernet
-    fields: Dict[str, Any] = {
-        "in_port": in_port,
-        "dl_src": frame.src,
-        "dl_dst": frame.dst,
-        "dl_vlan": OFP_VLAN_NONE,
-        "dl_vlan_pcp": 0,
-        "dl_type": frame.ethertype,
-        "nw_tos": None,
-        "nw_proto": None,
-        "nw_src": None,
-        "nw_dst": None,
-        "tp_src": None,
-        "tp_dst": None,
-    }
-    l3 = decoded.l3
-    if isinstance(l3, Ipv4Packet):
-        fields["nw_tos"] = 0
-        fields["nw_proto"] = l3.protocol
-        fields["nw_src"] = l3.src
-        fields["nw_dst"] = l3.dst
-        l4 = decoded.l4
-        if isinstance(l4, (TcpSegment, UdpDatagram)):
-            fields["tp_src"] = l4.src_port
-            fields["tp_dst"] = l4.dst_port
-        elif isinstance(l4, IcmpEcho):
-            fields["tp_src"] = int(l4.icmp_type)
-            fields["tp_dst"] = 0
-    elif frame.ethertype == EtherType.ARP and l3 is not None:
-        fields["nw_proto"] = l3.opcode
-        fields["nw_src"] = l3.sender_ip
-        fields["nw_dst"] = l3.target_ip
-    return fields
 
 
 def field_tuple(fields: Dict[str, Any]) -> Tuple[Any, ...]:

@@ -11,7 +11,7 @@ import struct
 from typing import ClassVar, Dict, List, Optional, Type
 
 from repro.netlib.addresses import MacAddress
-from repro.openflow.actions import Action
+from repro.openflow.actions import Action, ActionDecodeError
 from repro.openflow.constants import (
     OFP_HEADER_SIZE,
     OFP_NO_BUFFER,
@@ -179,9 +179,10 @@ def parse_message(data: bytes) -> OpenFlowMessage:
         raise OpenFlowDecodeError(f"unknown OpenFlow message type {msg_type}")
     try:
         return cls.unpack_body(body, xid)
-    except (struct.error, ValueError) as exc:
-        # ValueError covers out-of-range enum fields — what fuzzed
-        # (FUZZMESSAGE) bytes typically produce.
+    except (struct.error, ValueError, ActionDecodeError) as exc:
+        # ValueError covers out-of-range enum fields and ActionDecodeError
+        # a corrupted action TLV — what fuzzed (FUZZMESSAGE) bytes
+        # typically produce.
         raise OpenFlowDecodeError(f"malformed {cls.__name__} body: {exc}") from exc
 
 

@@ -218,17 +218,14 @@ class FrameTemplate:
         """Freeze the current buffer into one outgoing frame.
 
         With the fast lane on, the frame is a FastFrame born with its
-        ``_base``/``_base_tuple`` caches populated from the template's
-        live field dict — ``fastframe.intern`` passes FastFrames through
-        untouched, so no hop ever re-extracts the key.
+        ``_base``/``_base_tuple`` caches populated from a snapshot of the
+        template's live field dict (``fastframe.keyed_frame``) —
+        ``fastframe.intern`` passes FastFrames through untouched, so no
+        hop ever re-extracts the key.
         """
-        data = bytes(self.buf)
-        if fastframe.fast_lane_enabled():
-            frame = fastframe.FastFrame(data)
-            frame._base = dict(self.fields)
-            frame._base_tuple = tuple(self._values)
-            return frame
-        return data
+        return fastframe.keyed_frame(
+            bytes(self.buf), dict(self.fields), tuple(self._values)
+        )
 
     def __len__(self) -> int:
         return len(self.buf)
