@@ -859,6 +859,9 @@ def _cmd_show(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.dataplane import FailMode
+
+    fail_modes = tuple(mode.value for mode in FailMode)
     parser = argparse.ArgumentParser(
         prog="repro",
         description="ATTAIN attack-injection framework (DSN 2017 reproduction)",
@@ -930,7 +933,7 @@ def build_parser() -> argparse.ArgumentParser:
     fabric_run.add_argument("--attack", default=None,
                             help="registered attack name (needs a controller)")
     fabric_run.add_argument("--fail-mode", default="secure",
-                            choices=("secure", "standalone"))
+                            choices=fail_modes)
     fabric_run.add_argument("--seed", type=int, default=0)
     fabric_run.add_argument("--regions", type=int, default=None,
                             help="region count (default: fabric groups)")
@@ -975,7 +978,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="registry attack composed on the control "
                                    "channel")
     workload_run.add_argument("--fail-mode", default="secure",
-                              choices=("secure", "insecure"))
+                              choices=fail_modes)
     workload_run.add_argument("--seed", type=int, default=0)
     workload_run.add_argument("--shards", type=int, default=1,
                               help="worker processes executing the regions")
@@ -1027,7 +1030,7 @@ def build_parser() -> argparse.ArgumentParser:
     detect_run.add_argument("--controller", default="pox",
                             choices=("none",) + CONTROLLERS)
     detect_run.add_argument("--fail-mode", default="secure",
-                            choices=("secure", "insecure"))
+                            choices=fail_modes)
     detect_run.add_argument("--seed", type=int, default=0)
     detect_run.add_argument("--shards", type=int, default=1,
                             help="worker processes executing the regions")

@@ -12,14 +12,19 @@ computed once when the entry is built).  ADD-replace, MODIFY_STRICT and
 DELETE_STRICT are dict probes, the FIFO eviction victim is the dict's
 first item, and ``entries`` lists the table in install order.
 
-Lookup index: fully-specified entries (all twelve match fields set,
-/32 network prefixes — the shape every learning controller installs from
-``Match.from_packet``) live in a hash index keyed by the twelve-tuple;
-everything else sits in a wildcard list kept sorted by descending priority.
-A lookup probes the hash bucket, then scans the sorted wildcards only until
-no remaining entry could outrank the best candidate — O(1) + O(w) instead
-of O(n) over the whole table.  ``lookup_fast_hits`` counts lookups won
-from the hash bucket.
+Lookup index: a tuple-space classifier, the design Open vSwitch uses
+(Srinivasan, Suri & Varghese, SIGCOMM 1999; Pfaff et al., NSDI 2015).  An
+entry's *shape* is the set of fields its match pins plus its effective
+``nw_src``/``nw_dst`` prefix lengths (0 when the address is wildcarded).
+Within one shape, matching is equality on a key — the pinned values, with
+a partial prefix reduced to its masked network — so each shape is one
+hash table from key to a bucket kept best rank first.  A lookup computes
+each installed shape's key from the packet fields once and keeps the best
+bucket head: O(shapes) instead of O(entries).  A learning controller's
+fully-specified /32 entries share one shape whose key is the memoized
+twelve-tuple (``field_tuple``); a proactive fabric's ``dl_dst`` routes
+share another.  ``lookup_fast_hits`` counts lookups won by a
+fully-specified entry.
 
 Installed matches must not be mutated: both indexes key on them.
 """
@@ -28,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import insort
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.openflow.actions import Action
 from repro.openflow.constants import FlowModCommand, FlowModFlags, Port
@@ -37,6 +42,16 @@ from repro.openflow.messages import FlowMod
 
 #: ``(priority, Match.pack())`` — the identity strict flow-mods compare.
 StrictKey = Tuple[int, bytes]
+
+#: ``(pinned field names, nw_src prefix, nw_dst prefix)`` — what a match
+#: constrains.  Names follow ``MATCH_FIELD_NAMES`` order; an address with
+#: an effective prefix of 0 is not pinned.
+Shape = Tuple[Tuple[str, ...], int, int]
+
+#: The shape of a fully-specified twelve-tuple with /32 addresses.
+FULL_SHAPE: Shape = (MATCH_FIELD_NAMES, 32, 32)
+
+KeyFunction = Callable[[Dict[str, Any]], Any]
 
 
 class FlowEntry:
@@ -58,7 +73,8 @@ class FlowEntry:
         "byte_count",
         "order",
         "strict_key",
-        "exact_key",
+        "shape",
+        "key",
     )
 
     def __init__(
@@ -85,16 +101,11 @@ class FlowEntry:
         self.byte_count = 0
         self.order = next(FlowEntry._order)
         self.strict_key: StrictKey = (priority, match.pack())
-        self.exact_key = _exact_key(match)
+        self.shape, self.key = _classify(match)
 
     @property
     def sends_flow_removed(self) -> bool:
         return bool(self.flags & FlowModFlags.SEND_FLOW_REM)
-
-    @property
-    def rank(self) -> Tuple[int, int]:
-        """Win ordering: higher priority first, then earliest install."""
-        return (self.priority, -self.order)
 
     def outputs_to(self, port: int) -> bool:
         """True if any action outputs to ``port`` (for out_port filtering)."""
@@ -122,22 +133,76 @@ class FlowEntry:
         )
 
 
-def _exact_key(match: Match) -> Optional[Tuple[Any, ...]]:
-    """The hash key for a fully-specified match, or None if it wildcards.
+def _classify(match: Match) -> Tuple[Shape, Any]:
+    """The shape of ``match`` and its key within that shape."""
+    pinned = {}
+    for name in MATCH_FIELD_NAMES:
+        value = getattr(match, name)
+        if value is not None:
+            pinned[name] = value
+    src_prefix = match.nw_src_prefix if "nw_src" in pinned else 0
+    dst_prefix = match.nw_dst_prefix if "nw_dst" in pinned else 0
+    if src_prefix == 0:
+        pinned.pop("nw_src", None)
+    if dst_prefix == 0:
+        pinned.pop("nw_dst", None)
+    shape = (tuple(pinned), src_prefix, dst_prefix)
+    known = _SHAPES.get(shape)
+    if known is None:
+        known = _SHAPES[shape] = (shape, _key_function(shape))
+    shape, key_of = known
+    # The match's own pinned values, read through the shape's key function,
+    # are the key a matching packet's fields produce.
+    return shape, key_of(pinned)
 
-    Mirrors :func:`~repro.openflow.match.field_tuple` over the packet side:
-    when every field is set and both prefixes are /32, ``matches_fields``
-    degenerates to tuple equality, so the twelve-tuple is a sound hash key.
+
+#: shape -> (the interned shape, its key function), shared by every table.
+#: A pure memo: both values depend on the shape alone, so a run's results
+#: never depend on what earlier tables in the process installed.
+_SHAPES: Dict[Shape, Tuple[Shape, KeyFunction]] = {
+    FULL_SHAPE: (FULL_SHAPE, field_tuple),
+}
+
+
+def _key_function(shape: Shape) -> KeyFunction:
+    """The function mapping packet fields to their key in ``shape``.
+
+    Fields a shape pins whole are compared by value; a partial
+    ``nw_src``/``nw_dst`` prefix contributes the masked network (None
+    when the packet carries no such field, which no entry key holds).
+    A one-field shape (a fabric's ``dl_dst`` routes) keys on the bare
+    value.  Keys are built from lists, not ``tuple(map(...))``: a tuple
+    grown from an iterator is resized on every call, which parks up to
+    2000 freed tuples per size in the interpreter's free list.
     """
-    if match.nw_src_prefix != 32 or match.nw_dst_prefix != 32:
-        return None
-    values = tuple(getattr(match, name) for name in MATCH_FIELD_NAMES)
-    if any(value is None for value in values):
-        return None
-    return values
+    names, src_prefix, dst_prefix = shape
+    masked = tuple(
+        (name, ((1 << prefix) - 1) << (32 - prefix))
+        for name, prefix in (("nw_src", src_prefix), ("nw_dst", dst_prefix))
+        if 0 < prefix < 32
+    )
+    partial = {name for name, _ in masked}
+    whole = tuple(name for name in names if name not in partial)
+    if not masked and len(whole) == 1:
+        (only,) = whole
+
+        def key_of(fields: Dict[str, Any]) -> Any:
+            return fields.get(only)
+    elif not masked:
+        def key_of(fields: Dict[str, Any]) -> Tuple[Any, ...]:
+            return tuple([fields.get(name) for name in whole])
+    else:
+        def key_of(fields: Dict[str, Any]) -> Tuple[Any, ...]:
+            values = [fields.get(name) for name in whole]
+            for name, mask in masked:
+                address = fields.get(name)
+                values.append(None if address is None else int(address) & mask)
+            return tuple(values)
+    return key_of
 
 
-def _wild_sort_key(entry: FlowEntry) -> Tuple[int, int]:
+def _bucket_rank(entry: FlowEntry) -> Tuple[int, int]:
+    """Bucket order: best rank first (higher priority, then earlier install)."""
     return (-entry.priority, entry.order)
 
 
@@ -165,8 +230,10 @@ class FlowTable:
         self.occupancy_peak = 0
         # The strict index doubles as the install-ordered entry store.
         self._strict: Dict[StrictKey, FlowEntry] = {}
-        self._exact: Dict[Tuple[Any, ...], List[FlowEntry]] = {}
-        self._wild: List[FlowEntry] = []
+        # shape -> (key function, {key -> bucket sorted best rank first});
+        # a shape leaves the index with its last entry.
+        self._shapes: Dict[Shape, Tuple[KeyFunction, Dict[Any, List[FlowEntry]]]] = {}
+        self._subtables = self._shapes.values()  # a live view, for lookup
 
     @property
     def entries(self) -> List[FlowEntry]:
@@ -198,27 +265,27 @@ class FlowTable:
 
     def _install(self, entry: FlowEntry) -> None:
         self._strict[entry.strict_key] = entry
-        key = entry.exact_key
-        if key is not None:
-            self._exact.setdefault(key, []).append(entry)
+        subtable = self._shapes.get(entry.shape)
+        if subtable is None:
+            subtable = self._shapes[entry.shape] = (_SHAPES[entry.shape][1], {})
+        buckets = subtable[1]
+        bucket = buckets.get(entry.key)
+        if bucket is None:
+            buckets[entry.key] = [entry]
         else:
-            insort(self._wild, entry, key=_wild_sort_key)
+            insort(bucket, entry, key=_bucket_rank)
 
     def _discard(self, removed: Iterable[FlowEntry]) -> None:
         """Drop installed entries from every index."""
-        wild_gone = set()
         for entry in removed:
             del self._strict[entry.strict_key]
-            key = entry.exact_key
-            if key is None:
-                wild_gone.add(entry)
-                continue
-            bucket = self._exact[key]
+            buckets = self._shapes[entry.shape][1]
+            bucket = buckets[entry.key]
             bucket.remove(entry)
             if not bucket:
-                del self._exact[key]
-        if wild_gone:
-            self._wild = [entry for entry in self._wild if entry not in wild_gone]
+                del buckets[entry.key]
+                if not buckets:
+                    del self._shapes[entry.shape]
 
     # ------------------------------------------------------------------ #
     # Flow-mod application
@@ -321,24 +388,16 @@ class FlowTable:
         """Highest-priority entry matching extracted packet fields."""
         self.lookups += 1
         best: Optional[FlowEntry] = None
-        bucket = self._exact.get(field_tuple(fields))
-        if bucket:
-            for entry in bucket:
-                if best is None or entry.rank > best.rank:
-                    best = entry
-        exact_winner = best
-        # Wildcards are kept sorted best-rank first, so stop as soon as the
-        # next entry cannot outrank the current best; the first wildcard
-        # match encountered is the best-ranked wildcard match.
-        for entry in self._wild:
-            if best is not None and entry.rank <= best.rank:
-                break
-            if entry.match.matches_fields(fields):
-                best = entry
-                break
+        for key_of, buckets in self._subtables:
+            bucket = buckets.get(key_of(fields))
+            if bucket is not None:
+                head = bucket[0]
+                if best is None or head.priority > best.priority or (
+                        head.priority == best.priority and head.order < best.order):
+                    best = head
         if best is not None:
             self.matched += 1
-            if best is exact_winner:
+            if best.shape is FULL_SHAPE:
                 self.lookup_fast_hits += 1
         return best
 
@@ -356,8 +415,7 @@ class FlowTable:
         """Remove all entries (connection reset semantics)."""
         removed = self.entries
         self._strict.clear()
-        self._exact.clear()
-        self._wild.clear()
+        self._shapes.clear()
         return removed
 
     def __repr__(self) -> str:

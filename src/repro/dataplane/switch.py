@@ -35,6 +35,7 @@ from repro.openflow.constants import (
     OFP_NO_BUFFER,
     Capabilities,
     FlowModCommand,
+    FlowRemovedReason,
     Port,
     StatsType,
 )
@@ -62,7 +63,7 @@ from repro.openflow.messages import (
     StatsRequest,
 )
 from repro.dataplane.control import ControlChannel
-from repro.dataplane.flowtable import FlowTable
+from repro.dataplane.flowtable import FlowEntry, FlowTable
 from repro.sim.engine import SimulationEngine
 
 
@@ -428,19 +429,30 @@ class OpenFlowSwitch:
             self._note_eviction(entry, reason)
             if entry.sends_flow_removed and self.connected:
                 self.stats["flow_removed_sent"] += 1
-                duration = max(0.0, now - entry.install_time)
-                self._send(
-                    FlowRemoved(
-                        entry.match,
-                        entry.cookie,
-                        entry.priority,
-                        0 if reason == "idle" else 1,
-                        duration_sec=int(duration),
-                        idle_timeout=entry.idle_timeout,
-                        packet_count=entry.packet_count,
-                        byte_count=entry.byte_count,
-                    )
-                )
+                self._send(self._flow_removed(
+                    entry,
+                    FlowRemovedReason.IDLE_TIMEOUT if reason == "idle"
+                    else FlowRemovedReason.HARD_TIMEOUT,
+                    now,
+                ))
+
+    @staticmethod
+    def _flow_removed(entry: FlowEntry, reason: FlowRemovedReason,
+                      now: float) -> FlowRemoved:
+        """The FLOW_REMOVED for ``entry``: its lifetime and counters."""
+        duration = max(0.0, now - entry.install_time)
+        seconds = int(duration)
+        return FlowRemoved(
+            entry.match,
+            entry.cookie,
+            entry.priority,
+            reason,
+            duration_sec=seconds,
+            duration_nsec=int((duration - seconds) * 1e9),
+            idle_timeout=entry.idle_timeout,
+            packet_count=entry.packet_count,
+            byte_count=entry.byte_count,
+        )
 
     def _send(self, message: OpenFlowMessage) -> None:
         """Broadcast an asynchronous message to every connected controller."""
@@ -562,9 +574,8 @@ class OpenFlowSwitch:
             self._note_eviction(entry, "delete" if deleting else "capacity")
             if entry.sends_flow_removed:
                 self.stats["flow_removed_sent"] += 1
-                self._send(
-                    FlowRemoved(entry.match, entry.cookie, entry.priority, 2)
-                )
+                self._send(self._flow_removed(
+                    entry, FlowRemovedReason.DELETE, self.engine.now))
         if flow_mod.buffer_id != OFP_NO_BUFFER:
             # OF 1.0: a FLOW_MOD naming a buffer releases the buffered
             # packet through the new actions.  When the suppression attack

@@ -1,4 +1,4 @@
-"""The flow table's exact-match hash index vs the linear scan.
+"""The flow table's tuple-space classifier vs the linear scan.
 
 ``FlowTable.lookup`` must return exactly the entry the linear scan oracle
 (``flowtable_oracle.linear_lookup``) would, for every mix of fully-specified
@@ -7,7 +7,7 @@ and wildcard entries, across adds, replacements, deletes, expiry, and clears.
 
 import pytest
 
-from repro.dataplane.flowtable import FlowTable, _exact_key
+from repro.dataplane.flowtable import FULL_SHAPE, FlowEntry, FlowTable
 from repro.netlib import Ipv4Address, MacAddress
 from repro.openflow import FlowMod, FlowModCommand, Match, OutputAction
 from repro.openflow.constants import OFP_NO_BUFFER, Port
@@ -50,18 +50,34 @@ def add(table, match, priority=0x8000, out_port=2, **kwargs):
     return table.apply_flow_mod(flow_mod, now=0.0)
 
 
+def shape_of(match):
+    return FlowEntry(match, 0x8000, []).shape
+
+
 class TestExactKey:
+    """Only the fully-specified /32 twelve-tuple gets the fast-hit shape."""
+
     def test_fully_specified_match_is_keyed(self):
-        assert _exact_key(exact_match()) is not None
+        entry = FlowEntry(exact_match(), 0x8000, [])
+        assert entry.shape is FULL_SHAPE
+        assert entry.key == tuple(fields_for(exact_match()).values())
 
     def test_wildcarded_field_is_not_keyed(self):
-        assert _exact_key(Match(in_port=1, tp_dst=80)) is None
-        assert _exact_key(Match.wildcard_all()) is None
+        assert shape_of(Match(in_port=1, tp_dst=80)) == (("in_port", "tp_dst"), 0, 0)
+        assert shape_of(Match.wildcard_all()) == ((), 0, 0)
+        # A /0 address constrains nothing, so it is not pinned.
+        assert shape_of(Match(nw_src=Ipv4Address("10.0.0.1"), nw_src_prefix=0,
+                              nw_dst=Ipv4Address("10.0.0.1"),
+                              nw_dst_prefix=0)) == ((), 0, 0)
 
     def test_cidr_prefix_is_not_keyed(self):
         match = exact_match()
         match.nw_src_prefix = 24
-        assert _exact_key(match) is None
+        entry = FlowEntry(match, 0x8000, [])
+        assert entry.shape is not FULL_SHAPE
+        assert entry.shape == (FULL_SHAPE[0], 24, 32)
+        # The /24 source contributes its masked network, last in the key.
+        assert entry.key[-1] == int(Ipv4Address("10.0.0.0"))
 
 
 class TestIndexedLookup:

@@ -1,8 +1,9 @@
 """Model-based test: FlowTable against an independent reference model.
 
-The reference restricts itself to three match shapes per ingress port —
-the match-all wildcard, an ``in_port``-only wildcard, and the fully
-specified twelve-tuple of that port's probe packet — where OF 1.0
+The reference restricts itself to five match shapes — the match-all
+wildcard, an ``in_port``-only wildcard, a ``dl_dst``-only route (the
+proactive fabric shape), an ``nw_dst`` /24 prefix, and the fully
+specified twelve-tuple of one port's probe packet — where OF 1.0
 semantics are unambiguous: highest priority wins, ties go to the
 earliest-installed entry, ADD with an identical match+priority replaces,
 MODIFY changes the actions of the entries it names or adds when it names
@@ -19,7 +20,6 @@ from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.dataplane import FlowTable
-from repro.dataplane.flowtable import _wild_sort_key
 from repro.netlib import Ipv4Address, MacAddress
 from repro.openflow import FlowMod, FlowModCommand, Match, OutputAction
 from repro.openflow.constants import Port
@@ -33,45 +33,68 @@ FIELDS_BY_PORT = {
     port: {
         "in_port": port,
         "dl_src": MacAddress(1),
-        "dl_dst": MacAddress(2),
+        "dl_dst": MacAddress(2 if port < 3 else 3),
         "dl_vlan": 0xFFFF,
         "dl_vlan_pcp": 0,
         "dl_type": 0x0800,
         "nw_tos": 0,
         "nw_proto": 6,
         "nw_src": Ipv4Address("10.0.0.1"),
-        "nw_dst": Ipv4Address("10.0.0.2"),
+        "nw_dst": Ipv4Address(f"10.0.{port // 2}.{port}"),
         "tp_src": 1,
         "tp_dst": 2,
     }
     for port in PORTS
 }
 
-#: A match shape: ("all", None), ("port", p) or ("exact", p).
+#: Probe destinations: ports 1-2 share a MAC, ports 2-3 a /24 network.
+MACS = (MacAddress(2), MacAddress(3))
+NETS = (Ipv4Address("10.0.0.0"), Ipv4Address("10.0.1.0"))
+
+#: A match shape: ("all", None), ("port", p), ("dst", mac), ("net", net)
+#: or ("exact", p).
 SPECS = st.sampled_from(
     [("all", None)]
     + [("port", port) for port in PORTS]
+    + [("dst", mac) for mac in MACS]
+    + [("net", net) for net in NETS]
     + [("exact", port) for port in PORTS]
 )
 
 
 def match_for(spec):
-    kind, port = spec
+    kind, value = spec
     if kind == "all":
         return Match.wildcard_all()
     if kind == "port":
-        return Match(in_port=port)
-    return Match(**FIELDS_BY_PORT[port])
+        return Match(in_port=value)
+    if kind == "dst":
+        return Match(dl_dst=value)
+    if kind == "net":
+        return Match(nw_dst=value, nw_dst_prefix=24)
+    return Match(**FIELDS_BY_PORT[value])
+
+
+def covers(spec, port):
+    """True if a ``spec`` match accepts ``port``'s probe packet."""
+    kind, value = spec
+    fields = FIELDS_BY_PORT[port]
+    if kind == "all":
+        return True
+    if kind == "dst":
+        return fields["dl_dst"] == value
+    if kind == "net":
+        return int(fields["nw_dst"]) >> 8 == int(value) >> 8
+    return value == port
 
 
 def subsumes(spec, other):
     """True if a non-strict command with ``spec`` names an ``other`` entry."""
-    kind, port = spec
-    if kind == "all":
+    if spec[0] == "all" or other == spec:
         return True
-    if kind == "port":
-        return other[0] != "all" and other[1] == port
-    return other == spec
+    # Apart from match-all, the wildcards only subsume the exact entries
+    # whose probe they accept: none pins another's field.
+    return spec[0] != "exact" and other[0] == "exact" and covers(spec, other[1])
 
 
 class _ModelEntry:
@@ -87,8 +110,7 @@ class _ModelEntry:
         self.hard_timeout = hard_timeout
 
     def matches(self, port):
-        kind, in_port = self.spec
-        return kind == "all" or in_port == port
+        return covers(self.spec, port)
 
     def expired_reason(self, now):
         if self.hard_timeout and now >= self.install_time + self.hard_timeout:
@@ -247,16 +269,20 @@ class FlowTableMachine(RuleBasedStateMachine):
         orders = [e.order for e in entries]
         assert orders == sorted(orders)
         assert list(table._strict) == [e.strict_key for e in entries]
-        for key, bucket in table._exact.items():
-            assert bucket
-            assert all(e.exact_key == key for e in bucket)
-            assert [e.order for e in bucket] == sorted(e.order for e in bucket)
-        bucketed = sorted((e for b in table._exact.values() for e in b),
-                          key=lambda e: e.order)
-        assert bucketed == [e for e in entries if e.exact_key is not None]
-        assert table._wild == sorted(table._wild, key=_wild_sort_key)
-        assert sorted(table._wild, key=lambda e: e.order) == \
-            [e for e in entries if e.exact_key is None]
+        bucketed = []
+        for shape, (key_of, buckets) in table._shapes.items():
+            assert buckets, "a shape leaves the index with its last entry"
+            for key, bucket in buckets.items():
+                assert bucket
+                assert all(e.shape is shape and e.key == key for e in bucket)
+                assert bucket == sorted(bucket, key=lambda e: (-e.priority, e.order))
+                bucketed.extend(bucket)
+                # A probe lands in this bucket exactly when the entries
+                # match it.
+                for fields in FIELDS_BY_PORT.values():
+                    assert (key_of(fields) == key) is \
+                        bucket[0].match.matches_fields(fields)
+        assert sorted(bucketed, key=lambda e: e.order) == entries
 
 
 #: A three-entry table fills within a few steps, so fewer and shorter

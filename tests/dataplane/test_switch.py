@@ -16,6 +16,8 @@ from repro.openflow import (
     FeaturesReply,
     FeaturesRequest,
     FlowMod,
+    FlowModCommand,
+    FlowRemoved,
     GetConfigReply,
     GetConfigRequest,
     Hello,
@@ -30,7 +32,7 @@ from repro.openflow import (
     StatsRequest,
     StatsType,
 )
-from repro.openflow.constants import OFP_NO_BUFFER
+from repro.openflow.constants import OFP_NO_BUFFER, FlowModFlags, FlowRemovedReason
 from repro.sim import SimulationEngine
 
 MAC_A = MacAddress("00:00:00:00:00:0a")
@@ -75,10 +77,9 @@ class ScriptedController:
         return [m for m in self.messages if isinstance(m, cls)]
 
 
-@pytest.fixture
-def rig():
+def build_rig(**switch_kwargs):
     engine = SimulationEngine()
-    switch = OpenFlowSwitch(engine, "s1", datapath_id=0xBEEF)
+    switch = OpenFlowSwitch(engine, "s1", datapath_id=0xBEEF, **switch_kwargs)
     sent_frames = {1: [], 2: []}
     switch.attach_port(1, lambda data: sent_frames[1].append(data))
     switch.attach_port(2, lambda data: sent_frames[2].append(data))
@@ -89,6 +90,11 @@ def rig():
     switch.start()
     engine.run(until=1.0)
     return engine, switch, controller, sent_frames
+
+
+@pytest.fixture
+def rig():
+    return build_rig()
 
 
 class TestHandshake:
@@ -256,6 +262,52 @@ class TestFailModes:
         assert not switch.connected
         assert switch.stats["echo_requests_sent"] >= 1
         assert switch.stats["connection_deaths"] == 1
+
+
+class TestFlowRemoved:
+    """Every FLOW_REMOVED carries the entry's lifetime and counters."""
+
+    def install_and_use(self, engine, switch, controller, match, packets):
+        controller.send(FlowMod(match, actions=[OutputAction(2)],
+                                idle_timeout=30,
+                                flags=int(FlowModFlags.SEND_FLOW_REM)))
+        engine.run(until=2.0)
+        data = frame()
+        for _ in range(packets):
+            switch.frame_received(1, data)
+        engine.run(until=3.5)
+        return len(data)
+
+    def assert_reports(self, removed, reason, packets, size, duration):
+        assert removed.reason == reason
+        assert removed.packet_count == packets
+        assert removed.byte_count == packets * size
+        assert removed.idle_timeout == 30
+        assert removed.duration_sec == int(duration)
+        assert removed.duration_nsec == pytest.approx(
+            (duration - int(duration)) * 1e9, abs=1e3)
+
+    def test_delete_reports_the_entry_statistics(self, rig):
+        engine, switch, controller, _frames = rig
+        size = self.install_and_use(engine, switch, controller,
+                                    Match(in_port=1), packets=2)
+        controller.send(FlowMod(Match(in_port=1), FlowModCommand.DELETE))
+        engine.run(until=5.0)
+        (removed,) = controller.of_type(FlowRemoved)
+        # Installed at 1.001 s, deleted at 3.501 s (1 ms control latency).
+        self.assert_reports(removed, FlowRemovedReason.DELETE, 2, size, 2.5)
+
+    def test_capacity_eviction_reports_the_entry_statistics(self):
+        engine, switch, controller, _frames = build_rig(
+            table_capacity=1, table_eviction="lru")
+        size = self.install_and_use(engine, switch, controller,
+                                    Match(in_port=1), packets=2)
+        controller.send(FlowMod(Match(in_port=2), actions=[OutputAction(1)]))
+        engine.run(until=5.0)
+        (removed,) = controller.of_type(FlowRemoved)
+        assert removed.match.in_port == 1
+        assert switch.flow_table.capacity_evictions == 1
+        self.assert_reports(removed, FlowRemovedReason.DELETE, 2, size, 2.5)
 
 
 class TestValidation:

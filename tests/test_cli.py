@@ -613,3 +613,24 @@ def test_detect_run_rejects_unknown_detector():
     with pytest.raises(KeyError, match="unknown detector"):
         main(["detect", "run", "packetin-flood",
               "--detectors", "space-laser", "--senders", "2"])
+
+
+@pytest.mark.parametrize("command", (
+    ["workload", "run", "benign-mix", "--schedule", "constant:200",
+     "--senders", "2", "--duration", "0.1"],
+    ["detect", "run", "packetin-flood", "--detectors", "pktin-rate",
+     "--schedule", "constant:500", "--senders", "2", "--duration", "0.1",
+     "--threshold-pps", "1200"],
+), ids=("workload", "detect"))
+def test_fail_mode_choices_are_the_switch_fail_modes(command, capsys):
+    """Fail-safe mode is reachable; a mode the switch lacks is a usage error."""
+    import json
+
+    assert main(command + ["--fail-mode", "standalone", "--json"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["fail_mode"] == "standalone"
+    assert record["metrics"]["fail_mode"] == "standalone"
+    with pytest.raises(SystemExit) as excinfo:
+        main(command + ["--fail-mode", "insecure"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'insecure'" in capsys.readouterr().err
